@@ -3,7 +3,7 @@
 //!
 //! The compressed `MISADJC1` format is a first-class storage backend:
 //! sequential scans, the paged (`--cache-mb`) candidate-verification
-//! path and the block-parallel engine all run on it. This experiment
+//! path and the parallel engine all run on it. This experiment
 //! proves the contract on one generated power-law graph — for greedy,
 //! one-k and two-k at scan-only, paged and 4-thread configurations, the
 //! independent set and its maximality proof are identical on both

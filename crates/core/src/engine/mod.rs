@@ -9,21 +9,16 @@
 //! * [`Executor::Sequential`] — one thread folds the records in storage
 //!   order, exactly the paper's access model and byte-for-byte the
 //!   pre-engine behaviour;
-//! * [`Executor::Parallel`] — a reader thread streams hand-out units
-//!   over a bounded queue to `N` `std::thread` workers; each worker
-//!   folds its units into private shards, and the shards are merged
-//!   **in unit order**, so the output is identical at every thread
-//!   count. When the backend implements [`mis_graph::RawScan`] (the
-//!   on-disk formats do), the reader only *frames* raw byte ranges and
-//!   each worker decodes its own units locally (the `raw` submodule),
-//!   so compressed-file decompression scales with the worker count
-//!   instead of serialising on the reader. When the backend is a
-//!   **sharded store** ([`mis_graph::ShardedScan`]), the reader thread
-//!   and the queue disappear entirely: each worker owns and streams
-//!   whole shards (the `sharded` submodule). And when only one fold
-//!   thread is effectively available — `threads <= 1`, or a sharded
-//!   store with a single shard — `Parallel` runs the sequential path
-//!   directly, so `par(1)` never costs more than `seq`.
+//! * [`Executor::Parallel`] — the raw hand-out backend (the `raw`
+//!   submodule): a reader thread *frames* undecoded byte ranges
+//!   ([`mis_graph::RawScan`]) and streams them over a bounded queue to
+//!   `N` `std::thread` workers, each of which decodes its own units, so
+//!   compressed-file decompression scales with the worker count. Results
+//!   are merged **in unit order**, so the output is identical at every
+//!   thread count. Every on-disk store — plain, compressed and sharded —
+//!   has a raw view; a graph without one (in-memory CSR, delta overlays)
+//!   and any executor with one thread run the sequential path instead,
+//!   so `par(1)` never costs more than `seq`.
 //!
 //! Two execution shapes cover all of the paper's passes:
 //!
@@ -38,39 +33,27 @@
 //!    lazy exclusion, the swap algorithms' earlier-record-wins conflict
 //!    resolution, Algorithm 5's star partition). The fold itself must
 //!    stay sequential, so the parallel backend pipelines instead: the
-//!    reader thread decodes blocks ahead while the calling thread folds
-//!    them in exact storage order — I/O and decode overlap the fold
-//!    without changing a single transition.
+//!    workers decode ahead while the calling thread folds their units in
+//!    exact storage order — I/O and decode overlap the fold without
+//!    changing a single transition.
 //!
-//! The queue is bounded ([`ParallelConfig::queue_blocks`]), so a slow
-//! fold back-pressures the reader instead of buffering the whole graph;
-//! a panicking worker closes the queue on unwind, so no thread is ever
-//! left blocked. All I/O accounting flows into the same shared
-//! [`mis_extmem::IoStats`] the sequential path uses — its counters are
-//! atomic, so per-thread tallies need no extra plumbing.
+//! The queue is bounded, so a slow fold back-pressures the reader
+//! instead of buffering the whole graph; a panicking worker closes the
+//! queue on unwind, so no thread is ever left blocked. All I/O
+//! accounting flows into the same shared [`mis_extmem::IoStats`] the
+//! sequential path uses — its counters are atomic, so per-thread tallies
+//! need no extra plumbing.
 
 use std::io;
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
 
-use mis_graph::{GraphScan, NeighborAccess, RecordBlock, VertexId};
-use mis_obs as obs;
+use mis_graph::{GraphScan, NeighborAccess, RawScan, VertexId};
 
 pub mod passes;
 mod queue;
 mod raw;
-mod sharded;
 
-use queue::{BoundedQueue, CloseOnDrop};
 use raw::{fold_ordered_raw, run_pass_raw};
-use sharded::{fold_ordered_sharded, run_pass_sharded};
-
-/// Default number of records per hand-out block.
-///
-/// Large enough that queue and shard bookkeeping is noise, small enough
-/// that a 100k-vertex graph still splits into dozens of blocks for load
-/// balancing.
-pub const DEFAULT_BLOCK_RECORDS: usize = 4096;
 
 /// Default byte budget per raw hand-out unit (see
 /// [`ParallelConfig::unit_bytes`]).
@@ -119,18 +102,13 @@ pub trait ScanPass: Sync {
 /// Tuning knobs of the parallel backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Number of fold worker threads (minimum 1; the block reader runs
-    /// on its own thread in addition).
+    /// Number of decode/fold worker threads (minimum 1; the framing
+    /// reader runs on its own thread in addition).
     pub threads: usize,
-    /// Records per hand-out block (minimum 1).
-    pub block_records: usize,
-    /// Bounded-queue depth in blocks: how far the reader may run ahead
-    /// of the slowest fold.
-    pub queue_blocks: usize,
-    /// Byte budget per raw hand-out unit when the backend supports raw
-    /// scans ([`mis_graph::RawScan`]): records larger than this are
-    /// split across units so one power-law hub cannot serialise the
-    /// decode (minimum 1; see [`DEFAULT_UNIT_BYTES`]).
+    /// Byte budget per raw hand-out unit ([`mis_graph::RawScanLimits`]):
+    /// records larger than this are split across units so one power-law
+    /// hub cannot serialise the decode (minimum 1; see
+    /// [`DEFAULT_UNIT_BYTES`]).
     pub unit_bytes: usize,
 }
 
@@ -138,8 +116,6 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         Self {
             threads: available_threads(),
-            block_records: DEFAULT_BLOCK_RECORDS,
-            queue_blocks: 8,
             unit_bytes: DEFAULT_UNIT_BYTES,
         }
     }
@@ -157,19 +133,19 @@ pub fn available_threads() -> usize {
 /// `Sequential` is the paper's verbatim single-threaded access model and
 /// the default everywhere. `Parallel` keeps outputs bit-identical (see
 /// [`ScanPass`]'s contract and the engine-equivalence proptests) while
-/// using multiple cores for the CPU side of each pass.
+/// using multiple cores for the decode and fold of each pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
     /// Fold every record on the calling thread, in storage order.
     #[default]
     Sequential,
-    /// Block-parallel backend: reader thread + `N` fold workers.
+    /// Raw hand-out backend: framing reader thread + `N` decode workers.
     Parallel(ParallelConfig),
 }
 
 impl Executor {
-    /// A parallel executor with `threads` fold workers and default block
-    /// sizing. `threads <= 1` runs the sequential path directly — one
+    /// A parallel executor with `threads` workers and the default unit
+    /// size. `threads <= 1` runs the sequential path directly — one
     /// worker behind a reader thread and a queue is strictly slower than
     /// one thread doing both, so `par(1)` never pays the machinery it
     /// cannot benefit from.
@@ -202,43 +178,38 @@ impl Executor {
         }
     }
 
+    /// The raw backend this executor runs `graph` on, or `None` for the
+    /// sequential path: a sequential or one-thread executor, or a graph
+    /// without a raw view.
+    fn raw_backend<'a, G: GraphScan + ?Sized>(
+        &'a self,
+        graph: &'a G,
+    ) -> Option<(&'a dyn RawScan, &'a ParallelConfig)> {
+        match self {
+            Executor::Parallel(cfg) if cfg.threads > 1 => graph.raw_scan().map(|raw| (raw, cfg)),
+            _ => None,
+        }
+    }
+
     /// Runs a mergeable [`ScanPass`] over `graph` and returns its output.
     pub fn run_pass<G, P>(&self, graph: &G, pass: &P) -> io::Result<P::Output>
     where
         G: GraphScan + ?Sized,
         P: ScanPass,
     {
-        match self {
-            Executor::Sequential => {
-                let mut shard = pass.new_shard();
-                graph.scan(&mut |v, ns| pass.visit(&mut shard, v, ns))?;
-                Ok(pass.finish(shard))
-            }
-            Executor::Parallel(cfg) => {
-                if effective_threads(graph, cfg) <= 1 {
-                    // One fold thread gains nothing from a reader thread
-                    // plus a queue (or from shard ownership): run the
-                    // sequential path and skip the machinery entirely.
-                    let mut shard = pass.new_shard();
-                    graph.scan(&mut |v, ns| pass.visit(&mut shard, v, ns))?;
-                    return Ok(pass.finish(shard));
-                }
-                if let Some(sh) = graph.sharded() {
-                    return run_pass_sharded(sh, pass, cfg);
-                }
-                match graph.raw_scan() {
-                    Some(r) => run_pass_raw(r, pass, cfg),
-                    None => run_pass_parallel(graph, pass, cfg),
-                }
-            }
+        if let Some((raw, cfg)) = self.raw_backend(graph) {
+            return run_pass_raw(raw, pass, cfg);
         }
+        let mut shard = pass.new_shard();
+        graph.scan(&mut |v, ns| pass.visit(&mut shard, v, ns))?;
+        Ok(pass.finish(shard))
     }
 
     /// Runs an **order-dependent** fold over `graph`: `f` sees every
     /// record in exact storage order, regardless of backend. The parallel
-    /// backend pipelines block read + decode on a reader thread while the
-    /// calling thread folds, which overlaps I/O with CPU without touching
-    /// the fold's semantics.
+    /// backend decodes on the workers while the calling thread folds,
+    /// which overlaps I/O and decode with the fold without touching its
+    /// semantics.
     pub fn fold_ordered<G>(
         &self,
         graph: &G,
@@ -247,130 +218,11 @@ impl Executor {
     where
         G: GraphScan + ?Sized,
     {
-        match self {
-            Executor::Sequential => graph.scan(f),
-            Executor::Parallel(cfg) => {
-                if effective_threads(graph, cfg) <= 1 {
-                    return graph.scan(f);
-                }
-                if let Some(sh) = graph.sharded() {
-                    return fold_ordered_sharded(sh, cfg, f);
-                }
-                if let Some(r) = graph.raw_scan() {
-                    return fold_ordered_raw(r, cfg, f);
-                }
-                let _pass = obs::span("engine", "pass.fold_ordered");
-                let queue: BoundedQueue<RecordBlock> = BoundedQueue::new(cfg.queue_blocks.max(1));
-                std::thread::scope(|s| {
-                    let reader = s.spawn(|| {
-                        obs::name_thread("reader");
-                        let io = {
-                            let _guard = CloseOnDrop(&queue);
-                            graph.scan_blocks(cfg.block_records.max(1), &mut |block| {
-                                handout(&queue, block);
-                            })
-                        };
-                        // Joining the scope does not wait for TLS
-                        // destructors, so hand buffered events to the
-                        // sink before the closure returns.
-                        obs::flush_local();
-                        io
-                    });
-                    {
-                        // Close on unwind too, so a panicking fold never
-                        // leaves the reader blocked on a full queue.
-                        let _guard = CloseOnDrop(&queue);
-                        while let Some(block) = queue.pop() {
-                            for (v, ns) in block.iter() {
-                                f(v, ns);
-                            }
-                        }
-                    }
-                    match reader.join() {
-                        Ok(io) => io,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                })
-            }
+        match self.raw_backend(graph) {
+            Some((raw, cfg)) => fold_ordered_raw(raw, cfg, f),
+            None => graph.scan(f),
         }
     }
-}
-
-/// The parallelism actually available for `graph` under `cfg`: a sharded
-/// store cannot use more workers than it has shards (each worker owns
-/// whole shards), and a single thread never benefits from the threaded
-/// machinery at all.
-fn effective_threads<G: GraphScan + ?Sized>(graph: &G, cfg: &ParallelConfig) -> usize {
-    let threads = cfg.threads.max(1);
-    match graph.sharded() {
-        Some(sh) => threads.min(sh.shard_count().max(1)),
-        None => threads,
-    }
-}
-
-/// Hands one item to the queue, tracing the queue depth and the time
-/// the producer spends blocked on a full queue (back-pressure). Returns
-/// what [`BoundedQueue::push`] returns.
-fn handout<T>(queue: &BoundedQueue<T>, item: T) -> bool {
-    if obs::enabled() {
-        obs::counter("engine", "queue.depth", queue.len() as f64);
-        let _h = obs::span("engine", "reader.handout");
-        queue.push(item)
-    } else {
-        queue.push(item)
-    }
-}
-
-/// The block-parallel backend of [`Executor::run_pass`].
-fn run_pass_parallel<G, P>(graph: &G, pass: &P, cfg: &ParallelConfig) -> io::Result<P::Output>
-where
-    G: GraphScan + ?Sized,
-    P: ScanPass,
-{
-    let _pass_span = obs::span("engine", "pass.parallel");
-    let queue: BoundedQueue<RecordBlock> = BoundedQueue::new(cfg.queue_blocks.max(1));
-    let shards: Mutex<Vec<(u64, P::Shard)>> = Mutex::new(Vec::new());
-    let io = std::thread::scope(|s| {
-        for _ in 0..cfg.threads.max(1) {
-            s.spawn(|| {
-                obs::name_thread("worker");
-                let _guard = CloseOnDrop(&queue);
-                loop {
-                    let block = {
-                        let _wait = obs::span("engine", "worker.wait");
-                        queue.pop()
-                    };
-                    let Some(block) = block else { break };
-                    let mut shard = pass.new_shard();
-                    {
-                        let _fold = obs::span("engine", "worker.fold");
-                        for (v, ns) in block.iter() {
-                            pass.visit(&mut shard, v, ns);
-                        }
-                    }
-                    shards
-                        .lock()
-                        .expect("shard list poisoned")
-                        .push((block.seq(), shard));
-                }
-                obs::flush_local();
-            });
-        }
-        // The calling thread is the block reader.
-        let _guard = CloseOnDrop(&queue);
-        graph.scan_blocks(cfg.block_records.max(1), &mut |block| {
-            handout(&queue, block);
-        })
-    });
-    io?;
-    let _merge_span = obs::span("engine", "pass.merge");
-    let mut shards = shards.into_inner().expect("shard list poisoned");
-    shards.sort_unstable_by_key(|&(seq, _)| seq);
-    let mut acc = pass.new_shard();
-    for (_, shard) in shards {
-        pass.merge(&mut acc, shard);
-    }
-    Ok(pass.finish(acc))
 }
 
 /// Runs one swap-round candidate pass, shared by the one-k and two-k
@@ -405,7 +257,13 @@ pub(crate) fn candidate_pass<G: GraphScan + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_graph::{CsrGraph, OrderedCsr};
+    use std::sync::Arc;
+
+    use mis_extmem::{IoStats, ScratchDir};
+    use mis_graph::{
+        build_adj_file, compress_adj, split_adj_file, AnyAdjFile, CsrGraph, OrderedCsr,
+        SplitOptions,
+    };
 
     /// Counts records and sums `v * (1 + deg)` — order-insensitive, so it
     /// is a valid mergeable pass.
@@ -449,64 +307,123 @@ mod tests {
         }
     }
 
+    /// A power-law graph stored plain, gap-compressed and split into three
+    /// shards: every kind of store the raw backend runs on.
+    fn stores(dir: &ScratchDir, g: &CsrGraph) -> Vec<AnyAdjFile> {
+        let stats = IoStats::shared();
+        let plain = build_adj_file(g, &dir.file("g.adj"), Arc::clone(&stats), 512).unwrap();
+        let comp = compress_adj(g, &dir.file("g.cadj"), Arc::clone(&stats), 512).unwrap();
+        let plain = AnyAdjFile::Plain(plain);
+        let split = SplitOptions {
+            shards: 3,
+            block_size: 512,
+        };
+        split_adj_file(&plain, &dir.file("g.shrd"), &split).unwrap();
+        let sharded = AnyAdjFile::open_with_block_size(&dir.file("g.shrd"), stats, 512).unwrap();
+        vec![plain, AnyAdjFile::Compressed(comp), sharded]
+    }
+
     fn graph() -> CsrGraph {
         mis_gen::plrg::Plrg::with_vertices(500, 2.0)
             .seed(3)
             .generate()
     }
 
+    fn par(threads: usize, unit_bytes: usize) -> Executor {
+        Executor::Parallel(ParallelConfig {
+            threads,
+            unit_bytes,
+        })
+    }
+
+    fn scan_order(g: &dyn GraphScan) -> Vec<VertexId> {
+        let mut order = Vec::new();
+        g.scan(&mut |v, _| order.push(v)).unwrap();
+        order
+    }
+
     #[test]
     fn parallel_run_pass_matches_sequential() {
-        let g = graph();
-        let ordered = OrderedCsr::degree_sorted(&g);
-        let seq = Executor::Sequential.run_pass(&ordered, &CountPass).unwrap();
-        for threads in 1..=4 {
-            for block_records in [1, 7, 64, 100_000] {
-                let exec = Executor::Parallel(ParallelConfig {
-                    threads,
-                    block_records,
-                    queue_blocks: 2,
-                    ..ParallelConfig::default()
-                });
-                let par = exec.run_pass(&ordered, &CountPass).unwrap();
-                assert_eq!(par, seq, "threads {threads}, block {block_records}");
+        let dir = ScratchDir::new("engine-run-pass").unwrap();
+        for file in stores(&dir, &graph()) {
+            let seq = Executor::Sequential.run_pass(&file, &CountPass).unwrap();
+            for threads in 1..=4 {
+                // One-byte units split every record into pieces.
+                for unit_bytes in [1, 7, 64, DEFAULT_UNIT_BYTES] {
+                    let got = par(threads, unit_bytes).run_pass(&file, &CountPass);
+                    let what = format!("{} threads {threads}, unit {unit_bytes}", file.storage());
+                    assert_eq!(got.unwrap(), seq, "{what}");
+                }
             }
         }
     }
 
     #[test]
     fn shard_merge_preserves_storage_order() {
-        let g = graph();
-        let ordered = OrderedCsr::degree_sorted(&g);
-        let seq = Executor::Sequential
-            .run_pass(&ordered, &SequencePass)
-            .unwrap();
-        assert_eq!(seq, ordered.order());
-        for threads in [1, 3] {
-            let exec = Executor::Parallel(ParallelConfig {
-                threads,
-                block_records: 13,
-                queue_blocks: 3,
-                ..ParallelConfig::default()
-            });
-            let par = exec.run_pass(&ordered, &SequencePass).unwrap();
-            assert_eq!(par, seq, "threads {threads}");
+        let dir = ScratchDir::new("engine-merge-order").unwrap();
+        for file in stores(&dir, &graph()) {
+            let order = scan_order(&file);
+            let seq = Executor::Sequential.run_pass(&file, &SequencePass);
+            assert_eq!(seq.unwrap(), order);
+            for threads in [2, 3] {
+                let got = par(threads, 13).run_pass(&file, &SequencePass).unwrap();
+                assert_eq!(got, order, "{} threads {threads}", file.storage());
+            }
         }
     }
 
     #[test]
     fn fold_ordered_sees_storage_order_on_both_backends() {
+        let dir = ScratchDir::new("engine-fold-order").unwrap();
+        for file in stores(&dir, &graph()) {
+            let mut seq = Vec::new();
+            Executor::Sequential
+                .fold_ordered(&file, &mut |v, ns| seq.push((v, ns.to_vec())))
+                .unwrap();
+            for exec in [Executor::parallel(4), par(3, 16)] {
+                let mut got = Vec::new();
+                exec.fold_ordered(&file, &mut |v, ns| got.push((v, ns.to_vec())))
+                    .unwrap();
+                assert_eq!(got, seq, "{} {exec:?}", file.storage());
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_pass_charges_one_scan_and_the_sequential_blocks() {
+        let dir = ScratchDir::new("engine-io").unwrap();
+        for file in stores(&dir, &graph()) {
+            let stats = Arc::clone(file.stats());
+            let before = stats.snapshot();
+            Executor::Sequential.run_pass(&file, &CountPass).unwrap();
+            let seq = stats.snapshot().since(&before);
+            for threads in [2, 3, 8] {
+                let before = stats.snapshot();
+                Executor::parallel(threads)
+                    .run_pass(&file, &CountPass)
+                    .unwrap();
+                let got = stats.snapshot().since(&before);
+                let what = format!("{} threads {threads}", file.storage());
+                assert_eq!(got.scans_started, 1, "{what}: one logical scan");
+                assert_eq!(got.blocks_read, seq.blocks_read, "{what}: blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn graphs_without_a_raw_view_run_sequentially() {
         let g = graph();
         let ordered = OrderedCsr::degree_sorted(&g);
-        let mut seq = Vec::new();
-        Executor::Sequential
-            .fold_ordered(&ordered, &mut |v, _| seq.push(v))
-            .unwrap();
-        let mut par = Vec::new();
+        assert!(ordered.raw_scan().is_none());
+        let seq = Executor::Sequential.run_pass(&ordered, &SequencePass);
+        assert_eq!(seq.unwrap(), ordered.order());
+        let got = Executor::parallel(4).run_pass(&ordered, &SequencePass);
+        assert_eq!(got.unwrap(), ordered.order());
+        let mut folded = Vec::new();
         Executor::parallel(4)
-            .fold_ordered(&ordered, &mut |v, _| par.push(v))
+            .fold_ordered(&ordered, &mut |v, _| folded.push(v))
             .unwrap();
-        assert_eq!(par, seq);
+        assert_eq!(folded, ordered.order());
     }
 
     #[test]
@@ -524,12 +441,19 @@ mod tests {
     #[test]
     fn empty_graph_passes() {
         let g = CsrGraph::empty(0);
-        let (records, sum) = Executor::parallel(2).run_pass(&g, &CountPass).unwrap();
-        assert_eq!((records, sum), (0, 0));
-        let mut visited = 0u32;
-        Executor::parallel(2)
-            .fold_ordered(&g, &mut |_, _| visited += 1)
-            .unwrap();
-        assert_eq!(visited, 0);
+        let dir = ScratchDir::new("engine-empty").unwrap();
+        let stats = IoStats::shared();
+        let plain = build_adj_file(&g, &dir.file("e.adj"), Arc::clone(&stats), 512).unwrap();
+        let comp = compress_adj(&g, &dir.file("e.cadj"), stats, 512).unwrap();
+        let graphs: [&dyn GraphScan; 3] = [&g, &plain, &comp];
+        for graph in graphs {
+            let (records, sum) = Executor::parallel(2).run_pass(graph, &CountPass).unwrap();
+            assert_eq!((records, sum), (0, 0));
+            let mut visited = 0u32;
+            Executor::parallel(2)
+                .fold_ordered(graph, &mut |_, _| visited += 1)
+                .unwrap();
+            assert_eq!(visited, 0);
+        }
     }
 }

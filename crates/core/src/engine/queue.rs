@@ -1,7 +1,7 @@
-//! A small bounded MPMC queue for block hand-out.
+//! A small bounded MPMC queue for raw-unit hand-out.
 //!
 //! `std::sync::mpsc` channels are single-consumer, so the parallel
-//! executor's fan-out (one reader thread, N fold workers) needs its own
+//! executor's fan-out (one reader thread, N decode workers) needs its own
 //! queue. This one is deliberately minimal: `Mutex<VecDeque>` plus two
 //! condvars, blocking `push`/`pop`, and a `close` used both for normal
 //! end-of-stream and for unwinding consumers (a closed queue never blocks

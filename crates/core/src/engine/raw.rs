@@ -1,16 +1,16 @@
-//! Worker-side decompression: the raw hand-out backend.
+//! The raw hand-out backend: the engine's one parallel backend.
 //!
-//! The decoded pipeline ([`super::run_pass_parallel`] and the decoded
-//! `fold_ordered` arm) decodes every record **on the reader thread**, so
-//! with a compressed file the whole varint decode serialises behind one
-//! core no matter how many workers fold. This module moves the decode to
-//! the workers: the reader only *frames* raw byte ranges
-//! ([`mis_graph::RawScan::scan_raw`] — word-at-a-time terminator
-//! counting, no value decoding) and ships them over the bounded queue;
-//! each worker calls [`mis_graph::RawScan::decode_unit`] on its own
-//! units. Oversized power-law records arrive pre-split into pieces and
-//! are reassembled deterministically in `seq` order, so one hub vertex
-//! no longer serialises the pipeline.
+//! Decoding every record on one reader thread would serialise a
+//! compressed file's whole varint decode behind one core no matter how
+//! many workers fold. Instead the reader only *frames* raw byte ranges
+//! ([`mis_graph::RawScan::scan_raw`] — header inspection and
+//! word-at-a-time terminator counting, no value decoding) and ships them
+//! over a bounded queue; each worker calls
+//! [`mis_graph::RawScan::decode_unit`] on its own units. Oversized
+//! power-law records arrive pre-split into pieces and are reassembled
+//! deterministically in `seq` order, so one hub vertex does not
+//! serialise the pipeline. A sharded store frames its shards one after
+//! another behind the same interface, so it needs no backend of its own.
 //!
 //! Two consumers:
 //!
@@ -34,12 +34,34 @@ use mis_graph::{DecodedUnit, PieceAssembler, RawScan, RawScanLimits, RawUnit, Ve
 use mis_obs as obs;
 
 use super::queue::{BoundedQueue, CloseOnDrop};
-use super::{handout, ParallelConfig, ScanPass};
+use super::{ParallelConfig, ScanPass};
+
+/// Soft cap on whole records per hand-out unit. Large enough that queue
+/// and merge bookkeeping is noise, small enough that a 100k-vertex graph
+/// still splits into dozens of units for load balancing.
+const UNIT_RECORDS: usize = 4096;
+
+/// Hand-out queue depth in units: how far the reader may run ahead of
+/// the slowest worker.
+const QUEUE_UNITS: usize = 8;
 
 fn limits_of(cfg: &ParallelConfig) -> RawScanLimits {
     RawScanLimits {
-        target_records: cfg.block_records.max(1),
+        target_records: UNIT_RECORDS,
         unit_bytes: cfg.unit_bytes.max(1),
+    }
+}
+
+/// Hands one unit to the queue, tracing the queue depth and the time the
+/// reader spends blocked on a full queue (back-pressure). Returns what
+/// [`BoundedQueue::push`] returns.
+fn handout(queue: &BoundedQueue<RawUnit>, unit: RawUnit) -> bool {
+    if obs::enabled() {
+        obs::counter("engine", "queue.depth", queue.len() as f64);
+        let _h = obs::span("engine", "reader.handout");
+        queue.push(unit)
+    } else {
+        queue.push(unit)
     }
 }
 
@@ -62,7 +84,7 @@ pub(super) fn run_pass_raw<P: ScanPass>(
     cfg: &ParallelConfig,
 ) -> io::Result<P::Output> {
     let _pass_span = obs::span("engine", "pass.parallel");
-    let queue: BoundedQueue<RawUnit> = BoundedQueue::new(cfg.queue_blocks.max(1));
+    let queue: BoundedQueue<RawUnit> = BoundedQueue::new(QUEUE_UNITS);
     let results: Mutex<Vec<(u64, WorkerItem<P::Shard>)>> = Mutex::new(Vec::new());
     let worker_error: Mutex<Option<io::Error>> = Mutex::new(None);
     let io = std::thread::scope(|s| {
@@ -290,10 +312,10 @@ pub(super) fn fold_ordered_raw(
 ) -> io::Result<()> {
     let _pass_span = obs::span("engine", "pass.fold_ordered");
     let threads = cfg.threads.max(1);
-    let queue: BoundedQueue<RawUnit> = BoundedQueue::new(cfg.queue_blocks.max(1));
+    let queue: BoundedQueue<RawUnit> = BoundedQueue::new(QUEUE_UNITS);
     // Room for everything in flight: queued units, one per worker in
     // decode, plus slack so publishes rarely contend.
-    let window = (cfg.queue_blocks.max(1) + threads + 2) as u64;
+    let window = (QUEUE_UNITS + threads + 2) as u64;
     let sink: OrderedSink<DecodedUnit> = OrderedSink::new(window, threads);
     std::thread::scope(|s| {
         let reader = s.spawn(|| {

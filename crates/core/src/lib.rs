@@ -23,8 +23,9 @@
 //! All scan loops run through the unified execution [`engine`]: a
 //! [`ScanPass`]/[`Executor`] split with a `Sequential` backend (the
 //! paper's verbatim single-threaded access model, the default) and a
-//! block-parallel `Parallel` backend that produces bit-identical results
-//! at any thread count (see the engine-equivalence proptests).
+//! `Parallel` backend — workers decoding raw hand-out units of on-disk
+//! stores — that produces bit-identical results at any thread count (see
+//! the engine-equivalence proptests).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -176,8 +176,6 @@ fn tiny_units_split_records_identically() {
         for unit_bytes in [1, 16, 64] {
             let exec = Executor::Parallel(ParallelConfig {
                 threads,
-                block_records: 1,
-                queue_blocks: 2,
                 unit_bytes,
             });
             let what = format!("par({threads}), unit_bytes {unit_bytes}");

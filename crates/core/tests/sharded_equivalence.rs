@@ -4,12 +4,13 @@
 //!
 //! The sharded-layout invariant is that concatenating the shard scans in
 //! manifest order replays the unpartitioned record sequence, so every
-//! pass — ordered folds through the per-shard queues, mergeable passes
-//! through the shard-owning workers, and paged candidate verification
-//! through the per-shard pagers — must produce the exact result the
-//! single-file store produces, including the full `MisResult` and
-//! `SwapOutcome` round trajectories. Degenerate layouts (single-vertex
-//! shards, trailing empty shards) are part of the contract.
+//! pass — ordered folds and mergeable passes through the raw hand-out
+//! backend (the store chains its shards' framers), and paged candidate
+//! verification through the per-shard pagers — must produce the exact
+//! result the single-file store produces, including the full `MisResult`
+//! and `SwapOutcome` round trajectories. Degenerate layouts
+//! (single-vertex shards, trailing empty shards) are part of the
+//! contract.
 
 #![recursion_limit = "256"]
 
@@ -33,15 +34,14 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 }
 
 /// The executors each sharded store is checked under: sequential, and
-/// parallel with adversarial tiny hand-out blocks.
+/// parallel with adversarial tiny hand-out units (a few records each,
+/// larger records split into pieces).
 fn executors() -> Vec<Executor> {
     let mut list = vec![Executor::Sequential];
     for threads in [1usize, 2, 4] {
         list.push(Executor::Parallel(ParallelConfig {
             threads,
-            block_records: 3,
-            queue_blocks: 2,
-            ..ParallelConfig::default()
+            unit_bytes: 24,
         }));
     }
     list

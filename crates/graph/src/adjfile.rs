@@ -498,7 +498,7 @@ impl RawScan for AdjFile {
         match unit.kind() {
             RawUnitKind::Records { records } => {
                 let buf = unit.bytes();
-                let mut block = RecordBlock::with_seq(unit.seq());
+                let mut block = RecordBlock::default();
                 let mut pos = 0usize;
                 for _ in 0..records {
                     if buf.len() - pos < RECORD_HDR {

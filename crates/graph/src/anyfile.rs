@@ -4,8 +4,8 @@
 //! [`CompressedAdjFile`]) files are full peers everywhere a graph is
 //! scanned: the CLI, the durable-update store and the experiment harness
 //! all accept either. [`AnyAdjFile`] opens a path by magic bytes and
-//! delegates the whole [`GraphScan`] surface — including the native
-//! block hand-out of the compressed format — so callers stay
+//! delegates the whole [`GraphScan`] surface — including the raw
+//! hand-out the parallel engine runs on — so callers stay
 //! format-agnostic until they genuinely need the concrete type (e.g. to
 //! build the matching [`crate::RandomAccessGraph`] index flavour).
 
@@ -17,7 +17,7 @@ use mis_extmem::{IoStats, DEFAULT_BLOCK_SIZE};
 
 use crate::adjfile::AdjFile;
 use crate::compressed::CompressedAdjFile;
-use crate::scan::{GraphScan, RawScan, RecordBlock, ShardedScan};
+use crate::scan::{GraphScan, RawScan};
 use crate::sharded::ShardedGraph;
 use crate::VertexId;
 
@@ -116,20 +116,12 @@ impl GraphScan for AnyAdjFile {
         self.as_scan().scan(f)
     }
 
-    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
-        self.as_scan().scan_blocks(target_records, f)
-    }
-
     fn storage(&self) -> &'static str {
         self.as_scan().storage()
     }
 
     fn raw_scan(&self) -> Option<&dyn RawScan> {
         self.as_scan().raw_scan()
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedScan> {
-        self.as_scan().sharded()
     }
 }
 

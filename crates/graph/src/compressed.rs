@@ -613,39 +613,6 @@ impl GraphScan for CompressedAdjFile {
         Ok(())
     }
 
-    /// Native block hand-out: gap runs decode **straight into** each
-    /// [`RecordBlock`]'s shared neighbour buffer through the chunked
-    /// slice decoder, skipping the default implementation's per-record
-    /// re-buffering copy.
-    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
-        self.stats.record_scan();
-        let mut chunk = self.validated_reader()?;
-        let target = target_records.max(1);
-        let nbr_cap = target.saturating_mul(16);
-        let mut block = RecordBlock::with_seq(0);
-        for _ in 0..self.num_vertices {
-            let framed = frame_record(&mut chunk, self.degree_cap)?;
-            block.push_with(framed.vertex, |dst| {
-                decode_ascending_gaps_slice(
-                    &chunk.available()[framed.hdr..framed.total],
-                    dst,
-                    framed.degree,
-                )
-                .map(|_| ())
-                .map_err(|e| e.into_io_error("adjacency record"))
-            })?;
-            chunk.consume(framed.total);
-            if block.len() >= target || block.edge_entries() >= nbr_cap {
-                let seq = block.seq() + 1;
-                f(std::mem::replace(&mut block, RecordBlock::with_seq(seq)));
-            }
-        }
-        if !block.is_empty() {
-            f(block);
-        }
-        Ok(())
-    }
-
     fn storage(&self) -> &'static str {
         "adj-file-compressed"
     }
@@ -762,7 +729,7 @@ impl RawScan for CompressedAdjFile {
         match unit.kind() {
             RawUnitKind::Records { records } => {
                 let buf = unit.bytes();
-                let mut block = RecordBlock::with_seq(unit.seq());
+                let mut block = RecordBlock::default();
                 let mut pos = 0usize;
                 for _ in 0..records {
                     let (vertex, degree, hdr) =
@@ -1070,34 +1037,13 @@ mod tests {
         let err = file.scan(&mut |_, _| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("header changed"), "{err}");
-        let err = file.scan_blocks(4, &mut |_| {}).unwrap_err();
+        let raw = file.raw_scan().unwrap();
+        let limits = crate::scan::RawScanLimits {
+            target_records: 4,
+            unit_bytes: 4096,
+        };
+        let err = raw.scan_raw(limits, &mut |_| true).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn native_scan_blocks_replays_scan_exactly() {
-        let g = mis_gen_free_plrg(500);
-        let dir = ScratchDir::new("cadj-blocks").unwrap();
-        let stats = IoStats::shared();
-        let file = compress_adj(&g, &dir.file("g.cadj"), stats, 512).unwrap();
-        let mut direct = Vec::new();
-        file.scan(&mut |v, ns| direct.push((v, ns.to_vec())))
-            .unwrap();
-        for target in [1, 7, 100_000] {
-            let mut replayed = Vec::new();
-            let mut seqs = Vec::new();
-            file.scan_blocks(target, &mut |block| {
-                seqs.push(block.seq());
-                assert!(!block.is_empty());
-                for (v, ns) in block.iter() {
-                    replayed.push((v, ns.to_vec()));
-                }
-            })
-            .unwrap();
-            assert_eq!(replayed, direct, "target {target}");
-            let expect: Vec<u64> = (0..seqs.len() as u64).collect();
-            assert_eq!(seqs, expect, "target {target}: seq numbers in order");
-        }
     }
 
     #[test]

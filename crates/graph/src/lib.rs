@@ -27,9 +27,8 @@
 //!   `mis_extmem`'s buffer-pool page cache for the swap algorithms' paged
 //!   candidate-verification path;
 //! * [`sharded`] — the `MISSHRD1` manifest-backed sharded layout: one
-//!   adjacency file split into degree-balanced vertex-range shards, each
-//!   an independent sequential stream for the engine's shard-owning
-//!   parallel executor;
+//!   adjacency file split into degree-balanced vertex-range shards that
+//!   scan, frame and decode like one file;
 //! * [`edgelist`] — text edge-list parsing (SNAP-style `u v` lines);
 //! * [`hash`] — a small Fx-style hasher for hot `u32`-keyed maps.
 
@@ -62,7 +61,7 @@ pub use delta::{DeltaGraph, DeltaOverlay, PinnedDelta};
 pub use raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
 pub use scan::{
     DecodedPiece, DecodedUnit, GraphScan, OrderedCsr, PieceAssembler, RawScan, RawScanLimits,
-    RawUnit, RawUnitKind, RecordBlock, ShardedScan,
+    RawUnit, RawUnitKind, RecordBlock,
 };
 pub use sharded::{
     split_adj_file, ShardManifest, ShardMeta, ShardedGraph, ShardedRandomAccess, SplitOptions,

@@ -11,7 +11,15 @@
 //!   emulate a degree-sorted file without disk I/O);
 //! * [`crate::AdjFile`] — on disk, storage order = the order records were
 //!   written (vertex-id order from the builder, degree order after the
-//!   Algorithm 1 preprocessing step).
+//!   Algorithm 1 preprocessing step);
+//! * [`crate::CompressedAdjFile`] and [`crate::ShardedGraph`] — the
+//!   gap-compressed and the vertex-range sharded on-disk stores.
+//!
+//! The on-disk formats also implement [`RawScan`], the one interface the
+//! parallel execution engine runs on: a sequential pass that *frames*
+//! undecoded [`RawUnit`]s, and a `decode_unit` any worker thread can call
+//! on them. In-memory graphs have no raw view and are always scanned
+//! sequentially.
 
 use std::io;
 
@@ -29,7 +37,7 @@ use crate::VertexId;
 ///
 /// Scanning is a shared read (`&self`), so the trait requires [`Sync`]:
 /// the execution engine (`mis_core::engine`) hands the same graph to a
-/// reader thread and block-decoding workers.
+/// framing reader thread and unit-decoding workers.
 pub trait GraphScan: Sync {
     /// Number of vertices (`|V|`; always fits in memory in this model).
     fn num_vertices(&self) -> usize;
@@ -41,98 +49,27 @@ pub trait GraphScan: Sync {
     /// every vertex in storage order.
     fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()>;
 
-    /// Streams the same records as [`GraphScan::scan`], grouped into
-    /// storage-order [`RecordBlock`]s of roughly `target_records` records
-    /// each (dense records flush a block early, so skewed degree
-    /// distributions cannot balloon one block).
-    ///
-    /// Block boundaries carry **no semantics**: concatenating the blocks
-    /// in `seq` order replays exactly the record sequence of `scan`. This
-    /// is the hand-out unit of the parallel execution engine — each block
-    /// is decoded once and can be folded by a different worker thread.
-    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
-        let target = target_records.max(1);
-        // Cap buffered neighbour entries at 16x the record target so a
-        // run of hub records cannot hold an unbounded block in memory.
-        let nbr_cap = target.saturating_mul(16);
-        let mut block = RecordBlock::with_seq(0);
-        self.scan(&mut |v, ns| {
-            block.push(v, ns);
-            if block.len() >= target || block.edge_entries() >= nbr_cap {
-                let seq = block.seq + 1;
-                f(std::mem::replace(&mut block, RecordBlock::with_seq(seq)));
-            }
-        })?;
-        if !block.is_empty() {
-            f(block);
-        }
-        Ok(())
-    }
-
     /// A short human-readable description of the backing storage.
     fn storage(&self) -> &'static str {
         "unknown"
     }
 
     /// The raw (undecoded) hand-out interface of this storage, if it has
-    /// one. On-disk formats return `Some`, letting the execution engine
-    /// move record decoding off the reader thread: the reader only
-    /// *frames* byte ranges and each worker decodes its own unit. Pure
-    /// in-memory representations return `None` (there is nothing to
-    /// decode) and the engine falls back to decoded [`RecordBlock`]s.
+    /// one. On-disk formats (plain, compressed and sharded) return
+    /// `Some`, and the execution engine's parallel backend runs on it:
+    /// one reader thread only *frames* byte ranges and each worker
+    /// decodes its own units. Pure in-memory representations return
+    /// `None` (there is nothing to read or decode), and the engine runs
+    /// their passes sequentially.
     fn raw_scan(&self) -> Option<&dyn RawScan> {
         None
     }
-
-    /// The shard-level view of this storage, if it is partitioned. A
-    /// sharded store returns `Some`, letting the execution engine give
-    /// each worker thread whole shards to scan independently — no shared
-    /// reader thread, no hand-out queue. Monolithic representations
-    /// return `None`.
-    fn sharded(&self) -> Option<&dyn ShardedScan> {
-        None
-    }
-}
-
-/// The shard-level access interface of a partitioned graph store.
-///
-/// Shards partition the record sequence: concatenating the shards' scans
-/// in index order (`0, 1, …, shard_count() - 1`) replays exactly the
-/// record sequence of [`GraphScan::scan`] on the whole store. Each shard
-/// is itself a full [`GraphScan`] (with its own [`RawScan`] where the
-/// underlying format has one), so workers can own and stream shards
-/// independently and concurrently.
-///
-/// I/O accounting: a *logical* scan of the whole store is one scan no
-/// matter how many shards served it. Callers scanning shards directly
-/// must bracket the pass with [`ShardedScan::begin_logical_scan`] /
-/// [`ShardedScan::end_logical_scan`] so the store can charge exactly one
-/// scan and fold the per-shard block counters into the global
-/// [`mis_extmem::IoStats`] without double-counting.
-pub trait ShardedScan: Sync {
-    /// Number of shards (`≥ 1`).
-    fn shard_count(&self) -> usize;
-
-    /// The `i`-th shard as a standalone scannable graph. Records carry
-    /// their **global** vertex ids; `num_vertices()` of the shard is its
-    /// local record count.
-    fn shard_scan(&self, i: usize) -> &dyn GraphScan;
-
-    /// Marks the start of one logical whole-store scan (charges one scan
-    /// to the global stats).
-    fn begin_logical_scan(&self);
-
-    /// Marks the end of one logical whole-store scan: folds each shard's
-    /// I/O counters accumulated since the last fold into the global
-    /// stats (minus the shards' own scan counts).
-    fn end_logical_scan(&self);
 }
 
 /// Framing limits for [`RawScan::scan_raw`].
 #[derive(Debug, Clone, Copy)]
 pub struct RawScanLimits {
-    /// Soft cap on records per unit (mirrors the `target_records` of
-    /// [`GraphScan::scan_blocks`]).
+    /// Soft cap on whole records per [`RawUnitKind::Records`] unit.
     pub target_records: usize,
     /// Byte budget per hand-out unit. A single record larger than this is
     /// split into [`RawUnitKind::Piece`] units so one power-law hub
@@ -164,19 +101,36 @@ pub enum RawUnitKind {
 }
 
 /// An undecoded byte range handed from the reader thread to a decoding
-/// worker. `seq` numbers units `0, 1, 2, …` in storage order — the same
-/// numbering [`RecordBlock::seq`] uses — so results merge
-/// deterministically no matter which worker decoded which unit.
+/// worker. `seq` numbers units `0, 1, 2, …` in storage order, so results
+/// merge deterministically no matter which worker decoded which unit.
 #[derive(Debug, Clone)]
 pub struct RawUnit {
     seq: u64,
+    /// Index of the shard file that framed the unit (0 outside sharded
+    /// stores), so a sharded store can hand it back to that file.
+    shard: usize,
     kind: RawUnitKind,
     bytes: Vec<u8>,
 }
 
 impl RawUnit {
     pub(crate) fn new(seq: u64, kind: RawUnitKind, bytes: Vec<u8>) -> Self {
-        Self { seq, kind, bytes }
+        Self {
+            seq,
+            shard: 0,
+            kind,
+            bytes,
+        }
+    }
+
+    /// Re-tags a unit framed by shard `shard` with its store-wide `seq`.
+    pub(crate) fn in_shard(self, seq: u64, shard: usize) -> Self {
+        Self { seq, shard, ..self }
+    }
+
+    /// The shard tag set by [`RawUnit::in_shard`].
+    pub(crate) fn shard(&self) -> usize {
+        self.shard
     }
 
     /// Position of this unit in storage order.
@@ -330,38 +284,28 @@ pub trait RawScan: Sync {
 
 /// A batch of decoded adjacency records, contiguous in storage order.
 ///
-/// Produced by [`GraphScan::scan_blocks`]; `seq` numbers blocks `0, 1,
-/// 2, …` in storage order so consumers can merge per-block results
-/// deterministically regardless of which thread processed which block.
-#[derive(Debug, Clone, Default)]
+/// Produced by [`RawScan::decode_unit`]; its position in storage order
+/// is the decoded unit's [`RawUnit::seq`].
+#[derive(Debug, Clone)]
 pub struct RecordBlock {
-    seq: u64,
     verts: Vec<VertexId>,
     /// `bounds[i]..bounds[i + 1]` is the neighbour range of `verts[i]`.
     bounds: Vec<usize>,
     nbrs: Vec<VertexId>,
 }
 
-impl RecordBlock {
-    /// An empty block at position `seq` in storage order. Crate-visible
-    /// so storage formats with a native [`GraphScan::scan_blocks`]
-    /// (e.g. [`crate::CompressedAdjFile`]) can produce blocks directly.
-    pub(crate) fn with_seq(seq: u64) -> Self {
+impl Default for RecordBlock {
+    /// An empty block.
+    fn default() -> Self {
         Self {
-            seq,
             verts: Vec::new(),
             bounds: vec![0],
             nbrs: Vec::new(),
         }
     }
+}
 
-    /// Appends one record to the block.
-    fn push(&mut self, v: VertexId, ns: &[VertexId]) {
-        self.verts.push(v);
-        self.nbrs.extend_from_slice(ns);
-        self.bounds.push(self.nbrs.len());
-    }
-
+impl RecordBlock {
     /// Appends one record whose neighbour list is produced by `fill`
     /// writing **appended** entries straight into the block's shared
     /// neighbour buffer — no intermediate per-record vector. On error the
@@ -385,11 +329,6 @@ impl RecordBlock {
         }
     }
 
-    /// Position of this block in storage order (`0, 1, 2, …`).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Number of records in the block.
     pub fn len(&self) -> usize {
         self.verts.len()
@@ -398,11 +337,6 @@ impl RecordBlock {
     /// Whether the block holds no records.
     pub fn is_empty(&self) -> bool {
         self.verts.is_empty()
-    }
-
-    /// Total neighbour entries buffered in the block.
-    pub fn edge_entries(&self) -> usize {
-        self.nbrs.len()
     }
 
     /// The `i`-th record: `(vertex, neighbours)`.
@@ -638,49 +572,19 @@ mod tests {
     }
 
     #[test]
-    fn scan_blocks_replays_scan_exactly() {
-        let g = star();
-        let ordered = OrderedCsr::degree_sorted(&g);
-        let mut direct = Vec::new();
-        ordered
-            .scan(&mut |v, ns| direct.push((v, ns.to_vec())))
-            .unwrap();
-        for target in [1, 2, 3, 100] {
-            let mut replayed = Vec::new();
-            let mut seqs = Vec::new();
-            ordered
-                .scan_blocks(target, &mut |block| {
-                    seqs.push(block.seq());
-                    assert!(!block.is_empty());
-                    for (v, ns) in block.iter() {
-                        replayed.push((v, ns.to_vec()));
-                    }
-                })
-                .unwrap();
-            assert_eq!(replayed, direct, "target {target}");
-            let expect: Vec<u64> = (0..seqs.len() as u64).collect();
-            assert_eq!(seqs, expect, "target {target}: seq numbers in order");
-        }
-    }
-
-    #[test]
-    fn scan_blocks_respects_record_target() {
-        let g = star();
-        let mut lens = Vec::new();
-        g.scan_blocks(2, &mut |block| lens.push(block.len()))
-            .unwrap();
-        assert_eq!(lens, vec![2, 2, 1]);
-    }
-
-    #[test]
     fn record_block_accessors() {
         let g = star();
-        let mut blocks = Vec::new();
-        g.scan_blocks(100, &mut |b| blocks.push(b)).unwrap();
-        assert_eq!(blocks.len(), 1);
-        let block = &blocks[0];
+        let mut block = RecordBlock::default();
+        g.scan(&mut |v, ns| {
+            block
+                .push_with(v, |dst| {
+                    dst.extend_from_slice(ns);
+                    Ok(())
+                })
+                .unwrap()
+        })
+        .unwrap();
         assert_eq!(block.len(), 5);
-        assert_eq!(block.edge_entries(), 8); // 4 hub entries + 4 back edges
         assert_eq!(block.record(0), (0, &[1, 2, 3, 4][..]));
         assert_eq!(block.record(1).1, &[0][..]);
     }

@@ -7,12 +7,13 @@
 //! degree-balanced byte boundaries, so a power-law hub record cannot put
 //! most of the bytes in one shard and serialize a parallel scan.
 //!
-//! The point of the layout is I/O parallelism: each shard is an
-//! independent sequential stream, so the execution engine can give every
-//! worker whole shards to open and scan directly — no shared reader
-//! thread, no hand-out queue — while concatenating the shards in manifest
-//! order still replays exactly the record sequence of the unpartitioned
-//! file (the equivalence the deterministic merge relies on).
+//! Concatenating the shards in manifest order replays exactly the record
+//! sequence of the unpartitioned file, and a [`ShardedGraph`] reaches the
+//! execution engine like one file: its [`RawScan`] chains the shards'
+//! framers with `seq` numbering running on across shard boundaries, each
+//! unit is decoded by the shard that framed it, and the whole pass is
+//! charged as one logical scan. The engine's single parallel backend
+//! needs nothing shard-specific.
 //!
 //! # Manifest format (`MISSHRD1`)
 //!
@@ -58,7 +59,7 @@ use crate::adjfile::{AdjFile, AdjFileWriter, HEADER_BYTES};
 use crate::anyfile::AnyAdjFile;
 use crate::compressed::{CompressedAdjFile, CompressedAdjWriter};
 use crate::raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
-use crate::scan::{GraphScan, RecordBlock, ShardedScan};
+use crate::scan::{DecodedUnit, GraphScan, RawScan, RawScanLimits, RawUnit};
 use crate::VertexId;
 
 /// Magic bytes of the manifest file.
@@ -448,19 +449,18 @@ pub fn split_adj_file(
 
 /// A sharded adjacency store: the manifest plus its opened shard files.
 ///
-/// Implements the whole [`GraphScan`] surface — a sequential `scan`
-/// streams the shards in manifest order, indistinguishable from scanning
-/// the unpartitioned file — and exposes the shard level through
-/// [`ShardedScan`] for the engine's shard-owning parallel executor.
+/// Implements [`GraphScan`] and [`RawScan`] over the shards in manifest
+/// order, indistinguishable from scanning (or framing) the unpartitioned
+/// file.
 ///
 /// # I/O accounting
 ///
 /// Each shard file reports into its own private [`IoStats`]; the store
-/// folds those counters into the shared global stats at logical-scan
-/// boundaries ([`ShardedScan::end_logical_scan`]), charging exactly one
-/// scan per logical pass no matter how many shards (or worker threads)
-/// served it. This is what keeps the paper's `scans × ⌈bytes/B⌉` ledger
-/// comparable between sharded and unpartitioned runs.
+/// folds those counters into the shared global stats at the end of each
+/// logical pass (a `scan` or a `scan_raw`), charging exactly one scan per
+/// pass no matter how many shards served it. This is what keeps the
+/// paper's `scans × ⌈bytes/B⌉` ledger comparable between sharded and
+/// unpartitioned runs.
 pub struct ShardedGraph {
     manifest: ShardManifest,
     manifest_path: PathBuf,
@@ -612,31 +612,6 @@ impl GraphScan for ShardedGraph {
         result
     }
 
-    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
-        // The default record-driven blocker runs on top of `scan`, which
-        // already brackets the logical pass; block `seq` numbering is
-        // continuous across shard boundaries by construction.
-        let target = target_records.max(1);
-        let nbr_cap = target.saturating_mul(16);
-        let mut block = RecordBlock::with_seq(0);
-        self.scan(&mut |v, ns| {
-            block
-                .push_with(v, |nbrs| {
-                    nbrs.extend_from_slice(ns);
-                    Ok(())
-                })
-                .expect("infallible fill");
-            if block.len() >= target || block.edge_entries() >= nbr_cap {
-                let seq = block.seq() + 1;
-                f(std::mem::replace(&mut block, RecordBlock::with_seq(seq)));
-            }
-        })?;
-        if !block.is_empty() {
-            f(block);
-        }
-        Ok(())
-    }
-
     fn storage(&self) -> &'static str {
         if self.manifest.compressed {
             "sharded-cadj"
@@ -645,24 +620,72 @@ impl GraphScan for ShardedGraph {
         }
     }
 
-    fn sharded(&self) -> Option<&dyn ShardedScan> {
+    fn raw_scan(&self) -> Option<&dyn RawScan> {
         Some(self)
     }
 }
 
-impl ShardedScan for ShardedGraph {
-    fn shard_count(&self) -> usize {
-        self.shards.len()
+impl RawScan for ShardedGraph {
+    /// Chains the shards' framers in manifest order. `seq` runs on across
+    /// shard boundaries and every unit is tagged with its shard, so
+    /// `decode_unit` hands it back to the file that framed it. Shards
+    /// are cut on record boundaries, so all pieces of a split hub record
+    /// come from one shard.
+    fn scan_raw(
+        &self,
+        limits: RawScanLimits,
+        f: &mut dyn FnMut(RawUnit) -> bool,
+    ) -> io::Result<()> {
+        self.begin_logical_scan();
+        let mut seq = 0u64;
+        let mut open = true;
+        let mut result = Ok(());
+        for (i, shard) in self.shards.iter().enumerate() {
+            result = shard_raw(shard).scan_raw(limits, &mut |unit| {
+                open = f(unit.in_shard(seq, i));
+                seq += 1;
+                open
+            });
+            if result.is_err() || !open {
+                break;
+            }
+        }
+        self.end_logical_scan();
+        result
     }
 
-    fn shard_scan(&self, i: usize) -> &dyn GraphScan {
-        self.shards[i].as_scan()
+    fn decode_unit(&self, unit: RawUnit) -> io::Result<DecodedUnit> {
+        let shard = self.shards.get(unit.shard()).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "raw unit names shard {} of {}",
+                    unit.shard(),
+                    self.shards.len()
+                ),
+            )
+        })?;
+        shard_raw(shard).decode_unit(unit)
     }
+}
 
+/// The raw view of one shard file (always a single-file format).
+fn shard_raw(shard: &AnyAdjFile) -> &dyn RawScan {
+    shard
+        .raw_scan()
+        .expect("shard files are plain or compressed adjacency files")
+}
+
+impl ShardedGraph {
+    /// Starts one logical whole-store pass: charges one scan to the
+    /// global stats.
     fn begin_logical_scan(&self) {
         self.stats.record_scan();
     }
 
+    /// Ends one logical pass: folds each shard's I/O counters accumulated
+    /// since the last fold into the global stats (minus the shards' own
+    /// scan counts).
     fn end_logical_scan(&self) {
         for (i, sstats) in self.shard_stats.iter().enumerate() {
             let snap = sstats.snapshot();
@@ -958,24 +981,84 @@ mod tests {
         assert_eq!(delta2.blocks_read, 2 * delta.blocks_read);
     }
 
+    /// A star whose hub (vertex 10, adjacent to all others) outweighs
+    /// several shards' worth of bytes: the degree-balanced split puts it
+    /// at a shard edge and leaves empty shards behind it.
+    fn hub_sample() -> CsrGraph {
+        let n = 60u32;
+        let edges: Vec<(u32, u32)> = (0..n).filter(|&v| v != 10).map(|v| (10, v)).collect();
+        CsrGraph::from_edges(n as usize, &edges)
+    }
+
     #[test]
-    fn scan_blocks_numbering_is_continuous_across_shards() {
-        let dir = ScratchDir::new("shard-blocks").unwrap();
-        let (_, mpath, stats) = split_sample(&dir, true, 3);
-        let sharded = ShardedGraph::open_with_block_size(&mpath, stats, 256).unwrap();
-        let mut seqs = Vec::new();
-        let mut records = Vec::new();
+    fn raw_units_replay_scan_across_shard_edges() {
+        use crate::scan::assert_raw_replays_scan;
+        let g = hub_sample();
+        for compressed in [false, true] {
+            let dir = ScratchDir::new("shard-raw").unwrap();
+            let stats = IoStats::shared();
+            let source = if compressed {
+                let f = compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), 256).unwrap();
+                AnyAdjFile::Compressed(f)
+            } else {
+                let f = build_adj_file(&g, &dir.file("g.adj"), Arc::clone(&stats), 256).unwrap();
+                AnyAdjFile::Plain(f)
+            };
+            let mpath = dir.file("g.shrd");
+            let opts = SplitOptions {
+                shards: 8,
+                block_size: 256,
+            };
+            let manifest = split_adj_file(&source, &mpath, &opts).unwrap();
+            assert!(
+                manifest.shards.iter().any(|s| s.records == 0),
+                "expected an empty shard: {manifest:?}"
+            );
+            assert!(
+                manifest
+                    .shards
+                    .iter()
+                    .any(|s| s.records > 0 && (s.vertex_lo == 10 || s.vertex_hi == 10)),
+                "expected the hub at a shard edge: {manifest:?}"
+            );
+            let sharded = ShardedGraph::open_with_block_size(&mpath, stats, 256).unwrap();
+            // Units in `seq` order (hub split into pieces by the small
+            // unit budgets) replay `scan` exactly ...
+            assert_raw_replays_scan(&sharded);
+            // ... which replays the unpartitioned source.
+            assert_eq!(scan_records(&sharded), scan_records(&source));
+        }
+    }
+
+    #[test]
+    fn raw_scan_charges_one_scan_and_the_same_blocks_as_scan() {
+        let dir = ScratchDir::new("shard-raw-io").unwrap();
+        let (_, mpath, _) = split_sample(&dir, true, 4);
+        let stats = IoStats::shared();
+        let sharded = ShardedGraph::open_with_block_size(&mpath, Arc::clone(&stats), 64).unwrap();
+        let before = stats.snapshot();
+        sharded.scan(&mut |_, _| {}).unwrap();
+        let scan_delta = stats.snapshot().since(&before);
+        let before = stats.snapshot();
+        let limits = RawScanLimits {
+            target_records: 2,
+            unit_bytes: 16,
+        };
+        sharded.scan_raw(limits, &mut |_| true).unwrap();
+        let raw_delta = stats.snapshot().since(&before);
+        assert_eq!(raw_delta.scans_started, 1, "one logical scan");
+        assert_eq!(raw_delta.blocks_read, scan_delta.blocks_read);
+        assert_eq!(raw_delta.bytes_read, scan_delta.bytes_read);
+        // Stopping early still closes the logical scan.
+        let mut seen = 0;
         sharded
-            .scan_blocks(2, &mut |b| {
-                seqs.push(b.seq());
-                for (v, ns) in b.iter() {
-                    records.push((v, ns.to_vec()));
-                }
+            .scan_raw(limits, &mut |_| {
+                seen += 1;
+                seen < 2
             })
             .unwrap();
-        let expect: Vec<u64> = (0..seqs.len() as u64).collect();
-        assert_eq!(seqs, expect);
-        assert_eq!(records, scan_records(&sharded));
+        assert_eq!(seen, 2);
+        assert_eq!(stats.snapshot().since(&before).scans_started, 2);
     }
 
     #[test]

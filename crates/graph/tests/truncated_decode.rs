@@ -2,9 +2,9 @@
 //!
 //! A file cut mid-varint, mid-record, or mid-header must surface a clean
 //! `io::Error` (`UnexpectedEof` for truncation, `InvalidData` for
-//! corrupt bytes) from **every** access path — whole-file scan, block
-//! scan, the raw hand-out scan with worker-side decode, the record
-//! index, and the paged random-access reads. Never a panic, and never a
+//! corrupt bytes) from **every** access path — whole-file scan, the raw
+//! hand-out scan with worker-side decode, the record index, and the
+//! paged random-access reads. Never a panic, and never a
 //! silent short read: a scan over a truncated file that reports `Ok`
 //! would quietly drop edges and corrupt every algorithm above it.
 
@@ -73,11 +73,6 @@ fn probe_compressed(path: &std::path::Path) {
     };
     let scan = file.scan(&mut |_, _| {});
     assert_clean(scan.expect_err("scan of truncated file must error"), "scan");
-    let blocks = file.scan_blocks(4, &mut |_| {});
-    assert_clean(
-        blocks.expect_err("scan_blocks of truncated file must error"),
-        "scan_blocks",
-    );
     // Raw hand-out path: framing must error, and the units framed from
     // the intact part of the file must decode cleanly or cleanly fail.
     let raw = file.raw_scan().expect("compressed backend is raw-capable");
@@ -180,9 +175,6 @@ fn corrupt_compressed_bytes_error_cleanly_everywhere() {
         };
         if let Err(e) = file.scan(&mut |_, _| {}) {
             assert_clean(e, "mutant scan");
-        }
-        if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
-            assert_clean(e, "mutant scan_blocks");
         }
         let raw = file.raw_scan().expect("compressed backend is raw-capable");
         let limits = RawScanLimits {

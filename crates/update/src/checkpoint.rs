@@ -27,6 +27,8 @@ use mis_extmem::varint::{read_ascending_gaps, write_ascending_gaps};
 use mis_extmem::IoStats;
 use mis_graph::VertexId;
 
+use crate::atomic::atomic_replace;
+
 /// Magic bytes identifying an independent-set checkpoint.
 pub const CKPT_MAGIC: &[u8; 8] = b"MISCKPT1";
 
@@ -73,15 +75,12 @@ impl Checkpoint {
         write_ascending_gaps(&mut payload, set)?;
         let crc = fnv1a32(&payload);
 
-        let tmp = path.with_extension("ckpt.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
+        atomic_replace(&path.with_extension("ckpt.tmp"), path, |tmp| {
+            let mut file = std::fs::File::create(tmp)?;
             file.write_all(CKPT_MAGIC)?;
             file.write_all(&payload)?;
-            file.write_all(&crc.to_le_bytes())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
+            file.write_all(&crc.to_le_bytes())
+        })?;
         stats.record_checkpoint_write();
         Ok((CKPT_MAGIC.len() + payload.len() + 4) as u64)
     }

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod atomic;
 pub mod checkpoint;
 pub mod manifest;
 pub mod segment;

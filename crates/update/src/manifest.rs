@@ -23,12 +23,12 @@
 //! freshly sealed segment can never collide with a file an old snapshot
 //! still pins.
 
-use std::fs::File;
-use std::io::{self, Cursor, Write};
+use std::io::{self, Cursor};
 use std::path::Path;
 
 use mis_extmem::varint::{read_varint, write_varint};
 
+use crate::atomic::atomic_replace;
 use crate::wal::fnv1a32;
 
 /// Magic bytes identifying a segment manifest.
@@ -101,7 +101,8 @@ impl Manifest {
     }
 
     /// Atomically replaces the manifest at `path` with this list: the
-    /// bytes go to `<path>.tmp`, are fsynced, then renamed into place.
+    /// bytes go to `<path>.tmp`, are fsynced, then renamed into place,
+    /// and the directory is fsynced so the rename survives power loss.
     pub fn store(&self, path: &Path) -> io::Result<()> {
         let mut payload = Vec::new();
         write_varint(&mut payload, self.next_id).expect("vec write cannot fail");
@@ -113,13 +114,9 @@ impl Manifest {
         buf.extend_from_slice(&payload);
         buf.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
 
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)
+        atomic_replace(&path.with_extension("tmp"), path, |tmp| {
+            std::fs::write(tmp, &buf)
+        })
     }
 }
 

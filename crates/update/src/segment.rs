@@ -35,8 +35,7 @@
 //! full fsync, so a torn segment can only be a bug or bit rot, never a
 //! crash artefact (crashes leave `*.tmp` orphans, cleaned on open).
 
-use std::fs::File;
-use std::io::{self, Cursor, Write};
+use std::io::{self, Cursor};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,6 +43,7 @@ use mis_extmem::varint::{read_varint, write_varint};
 use mis_extmem::IoStats;
 use mis_graph::VertexId;
 
+use crate::atomic::atomic_replace;
 use crate::wal::{encode_record, fnv1a32, EdgeOp, TAG_DELETE, TAG_EPOCH, TAG_INSERT};
 
 /// Magic bytes identifying a sealed WAL segment.
@@ -177,12 +177,7 @@ impl Segment {
 
         let final_path = dir.join(segment_file_name(id));
         let tmp_path = dir.join(format!("{}.tmp", segment_file_name(id)));
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
+        atomic_replace(&tmp_path, &final_path, |tmp| std::fs::write(tmp, &buf))?;
         stats.record_wal_write(buf.len() as u64);
 
         Ok(Self {

@@ -61,6 +61,7 @@ use mis_graph::{
 
 use mis_extmem::IoStats;
 
+use crate::atomic::atomic_replace;
 use crate::checkpoint::Checkpoint;
 use crate::manifest::{Manifest, MANIFEST_NAME};
 use crate::segment::{is_segment_file, merge_segments, segment_file_name, Segment, SegmentMeta};
@@ -902,16 +903,16 @@ fn compact_temp_path(out_path: &Path) -> PathBuf {
     out_path.with_file_name(format!("{name}.cmp.tmp"))
 }
 
-/// Fsyncs the finished temp file and renames it over the target — the
-/// commit point of a single-file compaction.
+/// Replaces the target with the temp file the compaction writer has
+/// finished — the commit point of a single-file compaction.
 fn finish_compact_file(tmp: &Path, out: &Path, kill: KillPoint) -> io::Result<()> {
-    std::fs::File::open(tmp)?.sync_data()?;
     if kill == KillPoint::AfterSeal {
         // Simulated crash: the finished temp exists, the target was
         // never replaced. compact_as_killable surfaces the kill error.
         return Ok(());
     }
-    std::fs::rename(tmp, out)
+    // The compaction writer has already filled `tmp`.
+    atomic_replace(tmp, out, |_| Ok(()))
 }
 
 fn simulated_kill() -> io::Error {

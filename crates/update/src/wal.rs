@@ -38,6 +38,8 @@ use mis_extmem::varint::{read_varint, write_varint};
 use mis_extmem::IoStats;
 use mis_graph::VertexId;
 
+use crate::atomic::atomic_replace;
+
 /// Magic bytes identifying a write-ahead edge log.
 pub const WAL_MAGIC: &[u8; 8] = b"MISWAL01";
 
@@ -324,13 +326,9 @@ impl Wal {
         if self.last_epoch > 0 {
             fresh.extend_from_slice(&encode_record(TAG_EPOCH, &[self.last_epoch, 0]));
         }
-        let tmp = self.path.with_extension("wal.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&fresh)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        atomic_replace(&self.path.with_extension("wal.tmp"), &self.path, |tmp| {
+            std::fs::write(tmp, &fresh)
+        })?;
         // Swap the open handle to the renamed file.
         self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         self.file.seek(SeekFrom::End(0))?;

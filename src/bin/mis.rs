@@ -49,9 +49,11 @@
 //! which a round goes paged).
 //!
 //! `run`, `stats` and `bound` additionally accept `--threads N` (default:
-//! the machine's available parallelism): with `N > 1` the scan passes run
-//! on the block-parallel execution engine (`mis_core::engine`) — results
-//! are bit-identical to the sequential backend at every thread count.
+//! the machine's available parallelism): with `N > 1` the scan passes of
+//! an on-disk graph run on the parallel execution engine
+//! (`mis_core::engine`: one reader thread frames raw byte ranges, `N`
+//! workers decode and fold them) — results are bit-identical to the
+//! sequential backend at every thread count.
 //! (`--algo tfp|dynamic` have no engine-ported passes and always run
 //! single-threaded; an explicit `--threads` is noted and ignored there.)
 //!
@@ -83,8 +85,8 @@
 //! builds the matching record index per format (per-shard pagers
 //! sharing the one cache budget for sharded stores). `gen`, `convert`
 //! and `sort` take `--shards N` to emit a sharded store directly; with
-//! a sharded graph and `--threads N`, the engine runs its shard-owning
-//! backend (each worker streams its own shards; no reader thread).
+//! a sharded graph and `--threads N`, the engine frames the shards one
+//! after another and runs them like one file.
 //! `<base>` of `mis update` takes plain and compressed files (the
 //! durable-update log rewrites its base, which sharded stores do not
 //! support). Every run prints IS
@@ -106,7 +108,7 @@
 //! accepts every store format (plain, compressed, sharded); all serve
 //! queries share one pager budget (`--cache-mb`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -1644,6 +1646,11 @@ impl ServeConn {
     }
 }
 
+/// Longest accepted request line in bytes, newline excluded. A client
+/// sending more gets `ERR line too long` and is disconnected, so one
+/// connection cannot grow server memory without bound.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// One connection: reads protocol lines until EOF or shutdown, answers
 /// each with a single `OK …`/`ERR …` line. I/O errors just drop the
 /// connection — the server keeps running.
@@ -1653,8 +1660,15 @@ fn serve_connection(conn: ServeConn, engine: &ServeEngine, shutdown: &AtomicBool
     };
     let mut line = String::new();
     while !shutdown.load(Ordering::SeqCst) {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: a line that reaches it
+        // without a newline is too long.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(room).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_REQUEST_LINE && !line.ends_with('\n') => {
+                let _ = writeln!(writer, "ERR line too long").and_then(|()| writer.flush());
+                break;
+            }
             Ok(_) => {
                 let reply = match serve_execute(engine, line.trim(), shutdown) {
                     Ok(reply) => reply,
@@ -2507,9 +2521,12 @@ mod tests {
         reply.trim_end().to_string()
     }
 
-    #[test]
-    fn serve_round_trip_over_a_unix_socket() {
-        let dir = ScratchDir::new("cli-serve").unwrap();
+    /// Generates a small graph in `dir` and serves it on a unix socket
+    /// from a background thread; returns the base path, the socket path
+    /// and the server thread.
+    fn spawn_server(
+        dir: &ScratchDir,
+    ) -> (String, String, std::thread::JoinHandle<Result<(), String>>) {
         let base = dir.file("g.adj").display().to_string();
         dispatch(&strs(&[
             "gen",
@@ -2551,7 +2568,14 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(sock_path.exists(), "server did not come up");
+        (base, sock, server)
+    }
 
+    #[test]
+    fn serve_round_trip_over_a_unix_socket() {
+        let dir = ScratchDir::new("cli-serve").unwrap();
+        let (base, sock, server) = spawn_server(&dir);
+        let sock_path = PathBuf::from(&sock);
         let mut conn = UnixStream::connect(&sock_path).unwrap();
         assert_eq!(ask(&mut conn, "PING"), "OK pong");
         assert_eq!(ask(&mut conn, "ADD 0 1"), "OK pending=1");
@@ -2618,6 +2642,36 @@ mod tests {
             "4096",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn serve_drops_over_long_request_lines() {
+        let dir = ScratchDir::new("cli-serve-long").unwrap();
+        let (_base, sock, server) = spawn_server(&dir);
+        let mut conn = UnixStream::connect(&sock).unwrap();
+        // A line at the cap is still a request (an unknown verb here).
+        let at_cap = "X".repeat(MAX_REQUEST_LINE);
+        assert!(ask(&mut conn, &at_cap).starts_with("ERR unknown verb `XXX"));
+        // One byte more gets a single ERR line, then the connection
+        // closes. The server may hang up before the whole line is sent,
+        // so the write itself may fail, and the close may surface as a
+        // reset.
+        let over = "X".repeat(MAX_REQUEST_LINE + 1);
+        let _ = conn.write_all(format!("{over}\n").as_bytes());
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "ERR line too long\n");
+        reply.clear();
+        match reader.read_line(&mut reply) {
+            Ok(n) => assert_eq!(n, 0, "connection must close, got {reply:?}"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+        }
+        // The server keeps serving other clients.
+        let mut other = UnixStream::connect(&sock).unwrap();
+        assert_eq!(ask(&mut other, "PING"), "OK pong");
+        dispatch(&strs(&["serve", "--shutdown", "--socket", &sock])).unwrap();
+        server.join().unwrap().unwrap();
     }
 
     #[test]
