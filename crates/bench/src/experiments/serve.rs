@@ -13,8 +13,12 @@
 //!   after every later epoch, roll and compaction has run beneath it;
 //! * **offline equivalence** — at every epoch the served set is
 //!   *identical* to an offline `UpdateStore::apply` replay of the same
-//!   stream (op-driven and scan-driven repair converge), and every
-//!   epoch's proof scan certifies maximality.
+//!   stream (the same batch repair, reading records by sparse passes on
+//!   one side and by full scans on the other), and every epoch proves
+//!   maximal;
+//! * **batch-proportional flushes** — a flush after a proved epoch
+//!   reads its records by sparse passes and proves locally, so it starts
+//!   no full scan and its scans do not depend on `|V|`.
 //!
 //! Results — per-kind request latency quantiles, the sustained update
 //! rate, roll/compaction counts — go to `BENCH_serve.json` (override
@@ -54,8 +58,13 @@ pub struct ServeResult {
     pub compactions: u64,
     /// |IS| after the final epoch.
     pub final_is: u64,
-    /// Whether every epoch's proof scan certified maximality.
+    /// Whether every epoch's proof certified maximality.
     pub all_proved: bool,
+    /// Full scans the flushes started.
+    pub flush_full_scans: u64,
+    /// Whether every flush started no full scan: the gate that flush
+    /// scans do not depend on `|V|`.
+    pub scan_free_flushes: bool,
     /// Whether the served set matched the offline replay at every epoch.
     pub replay_matches: bool,
     /// Whether the epoch-1 pinned view stayed byte-identical (and
@@ -174,6 +183,8 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
     // epoch-1 answers for the stability check.
     let mut served_views = vec![engine.view()];
     let mut all_proved = true;
+    let mut flush_full_scans = 0u64;
+    let mut scan_free_flushes = true;
     let mut rolls = 0u64;
     let mut compactions = 0u64;
     let start = Instant::now();
@@ -181,6 +192,8 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
         engine.submit(batch).expect("submit epoch");
         let report = engine.flush().expect("flush epoch").expect("non-empty");
         all_proved &= report.maximality_proved;
+        flush_full_scans += report.full_scans;
+        scan_free_flushes &= report.full_scans == 0;
         rolls += u64::from(report.rolled);
         compactions += u64::from(report.compacted > 0);
         served_views.push(engine.view());
@@ -270,6 +283,8 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
         compactions,
         final_is: served_views.last().expect("views").set().len() as u64,
         all_proved,
+        flush_full_scans,
+        scan_free_flushes,
         replay_matches,
         pinned_stable,
         reader_requests: reader_requests.load(Ordering::Relaxed),
@@ -347,7 +362,15 @@ pub fn run() {
          under later compaction: {}",
         result.replay_matches, result.pinned_stable
     );
+    println!(
+        "  full scans started by flushes: {} (every flush scan-free: {})",
+        result.flush_full_scans, result.scan_free_flushes
+    );
     assert!(result.all_proved, "an epoch failed the maximality proof");
+    assert!(
+        result.scan_free_flushes,
+        "a flush after a proved epoch started a full scan"
+    );
     assert!(result.replay_matches, "served set diverged from replay");
     assert!(result.pinned_stable, "pinned view moved");
     assert!(
@@ -372,6 +395,8 @@ pub fn run() {
             "  \"rolls\": {},\n",
             "  \"compactions\": {},\n",
             "  \"all_proved\": {},\n",
+            "  \"flush_full_scans\": {},\n",
+            "  \"scan_free_flushes\": {},\n",
             "  \"replay_matches\": {},\n",
             "  \"pinned_stable\": {},\n",
             "  \"per_op_ns\": {:.0},\n",
@@ -390,6 +415,8 @@ pub fn run() {
         result.rolls,
         result.compactions,
         result.all_proved,
+        result.flush_full_scans,
+        result.scan_free_flushes,
         result.replay_matches,
         result.pinned_stable,
         result.ingest_wall_ms * 1e6 / result.total_ops.max(1) as f64,
@@ -424,7 +451,9 @@ pub fn run() {
         ledger.metric(&format!("{kind}_p50_ns"), r.p50_ns as f64);
         ledger.metric(&format!("{kind}_p99_ns"), r.p99_ns as f64);
     }
+    ledger.metric("flush_full_scans", result.flush_full_scans as f64);
     ledger.verdict("all_proved", result.all_proved);
+    ledger.verdict("scan_free_flushes", result.scan_free_flushes);
     ledger.verdict("replay_matches", result.replay_matches);
     ledger.verdict("pinned_stable", result.pinned_stable);
     ledger.verdict("model", result.model.as_ref().is_some_and(|v| v.pass));
@@ -445,6 +474,8 @@ mod tests {
         let result = run_serve(6_000, 4, 150, 4096);
         assert_eq!(result.epochs, 4);
         assert!(result.all_proved);
+        assert!(result.scan_free_flushes, "a flush started a full scan");
+        assert_eq!(result.flush_full_scans, 0);
         assert!(result.replay_matches, "served set diverged from replay");
         assert!(result.pinned_stable, "epoch-1 pin moved");
         assert!(result.rolls >= 2, "rolls: {}", result.rolls);

@@ -55,8 +55,8 @@ pub use dynamic::DynamicUpdate;
 pub use engine::{Executor, ParallelConfig, ScanPass};
 pub use greedy::{Baseline, Greedy};
 pub use incremental::{
-    repair_independent_set, repair_updated_set, repair_updated_set_from_ops, RepairConfig,
-    RepairOutcome, UpdateRepairOutcome,
+    is_neighbour_counts, prove_counting, repair_batch, repair_independent_set, repair_updated_set,
+    BatchRepairOutcome, RepairConfig, RepairOutcome, UpdateRepairOutcome,
 };
 pub use onek::OneKSwap;
 pub use order::degree_order;

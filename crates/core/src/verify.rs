@@ -11,7 +11,7 @@ use mis_graph::{GraphScan, VertexId};
 use crate::engine::{Executor, ScanPass};
 
 /// Builds a membership bitmap from a vertex list.
-fn membership(n: usize, set: &[VertexId]) -> Vec<bool> {
+pub(crate) fn membership(n: usize, set: &[VertexId]) -> Vec<bool> {
     let mut member = vec![false; n];
     for &v in set {
         member[v as usize] = true;

@@ -13,8 +13,8 @@
 //!
 //! Within one storage backend, whole `MisResult`/`SwapOutcome` values
 //! are compared. Across backends the comparison drops the memory model's
-//! `pager_bytes` (the compressed index is legitimately 4 bytes/vertex
-//! larger) but keeps the set, the scan counts and every round statistic.
+//! `pager_bytes` (the compressed index legitimately holds more bytes per
+//! vertex) but keeps the set, the scan counts and every round statistic.
 
 use std::sync::Arc;
 

@@ -303,6 +303,11 @@ impl AdjFile {
         &self.stats
     }
 
+    /// The scan block size the file was opened with.
+    pub fn block_size(&self) -> usize {
+        self.block_size
+    }
+
     /// File size on disk in bytes.
     pub fn disk_bytes(&self) -> io::Result<u64> {
         Ok(std::fs::metadata(&self.path)?.len())

@@ -541,6 +541,11 @@ impl CompressedAdjFile {
         &self.stats
     }
 
+    /// The scan block size the file was opened with.
+    pub fn block_size(&self) -> usize {
+        self.block_size
+    }
+
     /// Opens a fresh chunked reader positioned after the header, failing
     /// fast when the magic or the header `|V|`/`|E|` no longer match the
     /// metadata captured at [`CompressedAdjFile::open`] — a mismatch

@@ -46,6 +46,7 @@ pub mod hash;
 pub mod raccess;
 pub mod scan;
 pub mod sharded;
+pub mod sparse;
 
 pub use adjfile::AdjFile;
 pub use anyfile::AnyAdjFile;
@@ -66,6 +67,7 @@ pub use scan::{
 pub use sharded::{
     split_adj_file, ShardManifest, ShardMeta, ShardedGraph, ShardedRandomAccess, SplitOptions,
 };
+pub use sparse::{OverlaidRecords, SparseReader, SparseRecords};
 
 /// Vertex identifier. Graphs with up to `u32::MAX` vertices are supported;
 /// the paper's largest graph (Clueweb12) has 978 million vertices, well

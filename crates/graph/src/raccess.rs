@@ -26,53 +26,101 @@
 
 use std::cell::RefCell;
 use std::io;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use mis_extmem::pager::{open_file_source, BufferPool, FilePageSource, PagerConfig};
 use mis_extmem::varint::{decode_ascending_gaps_slice, decode_varint_slice};
+use mis_extmem::IoStats;
 
 use crate::adjfile::{AdjFile, HEADER_BYTES};
 use crate::compressed::{CompressedAdjFile, CompressedRecordIndex};
 use crate::scan::GraphScan;
+use crate::sparse::{SparsePart, SparseReader};
 use crate::VertexId;
 
 /// Per-vertex byte offsets of adjacency records within an [`AdjFile`].
-#[derive(Debug, Clone, Default)]
+/// An index built by scanning a file under 4 GiB keeps 4-byte offsets,
+/// so it costs `4|V|` bytes instead of `8|V|`. Cloning shares the
+/// offsets (the random-access path and its [`SparseReader`] hold one
+/// copy between them).
+#[derive(Debug, Clone)]
 pub struct RecordIndex {
-    offsets: Vec<u64>,
+    offsets: Offsets,
+}
+
+#[derive(Debug, Clone)]
+enum Offsets {
+    Narrow(Arc<Vec<u32>>),
+    Wide(Arc<Vec<u64>>),
+}
+
+impl Default for RecordIndex {
+    fn default() -> Self {
+        Self::from_offsets(Vec::new())
+    }
 }
 
 impl RecordIndex {
     /// Wraps raw offsets (indexed by vertex id).
     pub fn from_offsets(offsets: Vec<u64>) -> Self {
-        Self { offsets }
+        Self {
+            offsets: Offsets::Wide(Arc::new(offsets)),
+        }
     }
 
     /// Builds the index with one accounted sequential scan of `file`.
     pub fn build(file: &AdjFile) -> io::Result<Self> {
         let _span = mis_obs::span("graph", "index.build");
-        let mut offsets = vec![0u64; file.num_vertices()];
+        let n = file.num_vertices();
+        // Record layout: vertex u32, degree u32, then the list.
+        let record_bytes = |ns: &[VertexId]| 8 + 4 * ns.len() as u64;
         let mut pos = HEADER_BYTES as u64;
-        file.scan(&mut |v, ns| {
-            offsets[v as usize] = pos;
-            // Record layout: vertex u32, degree u32, then the list.
-            pos += 8 + 4 * ns.len() as u64;
-        })?;
+        let offsets = if file.disk_bytes()? <= u64::from(u32::MAX) {
+            let mut offsets = vec![0u32; n];
+            file.scan(&mut |v, ns| {
+                offsets[v as usize] = pos as u32;
+                pos += record_bytes(ns);
+            })?;
+            Offsets::Narrow(Arc::new(offsets))
+        } else {
+            let mut offsets = vec![0u64; n];
+            file.scan(&mut |v, ns| {
+                offsets[v as usize] = pos;
+                pos += record_bytes(ns);
+            })?;
+            Offsets::Wide(Arc::new(offsets))
+        };
         Ok(Self { offsets })
     }
 
     /// Byte offset of `v`'s record from the start of the file.
     pub fn offset(&self, v: VertexId) -> u64 {
-        self.offsets[v as usize]
+        match &self.offsets {
+            Offsets::Narrow(o) => u64::from(o[v as usize]),
+            Offsets::Wide(o) => o[v as usize],
+        }
     }
 
     /// Number of indexed vertices.
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        match &self.offsets {
+            Offsets::Narrow(o) => o.len(),
+            Offsets::Wide(o) => o.len(),
+        }
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.len() == 0
+    }
+
+    /// Bytes the index holds per vertex (4 or 8).
+    pub fn bytes_per_vertex(&self) -> u64 {
+        match &self.offsets {
+            Offsets::Narrow(_) => 4,
+            Offsets::Wide(_) => 8,
+        }
     }
 }
 
@@ -121,7 +169,7 @@ enum Codec {
     /// Varint/gap-coded `MISADJC1` records; variable width, so the
     /// per-vertex byte length rides along from the
     /// [`CompressedRecordIndex`].
-    Compressed { lens: Vec<u32> },
+    Compressed { lens: Arc<Vec<u32>> },
 }
 
 /// An adjacency file — plain or gap-compressed — served through a
@@ -138,6 +186,11 @@ pub struct RandomAccessGraph {
     state: RefCell<PoolState>,
     index: RecordIndex,
     codec: Codec,
+    /// The file behind the pool, its I/O counters and scan block size,
+    /// for [`RandomAccessGraph::sparse_reader`].
+    path: PathBuf,
+    stats: Arc<IoStats>,
+    block_size: usize,
     num_vertices: usize,
     num_edges: u64,
     config: PagerConfig,
@@ -185,7 +238,8 @@ impl RandomAccessGraph {
         }
         Self::build(
             file.path(),
-            std::sync::Arc::clone(file.stats()),
+            Arc::clone(file.stats()),
+            file.block_size(),
             index,
             Codec::Plain,
             file.num_vertices(),
@@ -222,18 +276,23 @@ impl RandomAccessGraph {
         let (offsets, lens) = index.into_parts();
         Self::build(
             file.path(),
-            std::sync::Arc::clone(file.stats()),
+            Arc::clone(file.stats()),
+            file.block_size(),
             RecordIndex::from_offsets(offsets),
-            Codec::Compressed { lens },
+            Codec::Compressed {
+                lens: Arc::new(lens),
+            },
             file.num_vertices(),
             file.num_edges(),
             config,
         )
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn build(
         path: &std::path::Path,
-        stats: std::sync::Arc<mis_extmem::IoStats>,
+        stats: Arc<IoStats>,
+        block_size: usize,
         index: RecordIndex,
         codec: Codec,
         num_vertices: usize,
@@ -241,7 +300,7 @@ impl RandomAccessGraph {
         config: PagerConfig,
     ) -> io::Result<Self> {
         let source = open_file_source(path)?;
-        let pool = BufferPool::new(source, config, stats);
+        let pool = BufferPool::new(source, config, Arc::clone(&stats));
         Ok(Self {
             state: RefCell::new(PoolState {
                 pool,
@@ -250,6 +309,9 @@ impl RandomAccessGraph {
             }),
             index,
             codec,
+            path: path.to_path_buf(),
+            stats,
+            block_size,
             num_vertices,
             num_edges,
             config,
@@ -288,6 +350,30 @@ impl RandomAccessGraph {
     /// Pages currently resident in the pool.
     pub fn resident_pages(&self) -> usize {
         self.state.borrow().pool.resident_pages()
+    }
+
+    /// A [`SparseReader`] over the same file and record index: reads
+    /// chosen records in one storage-ordered pass, outside the pool.
+    /// The index is shared, not copied.
+    pub fn sparse_reader(&self) -> SparseReader {
+        SparseReader::new(
+            vec![self.sparse_part()],
+            Arc::clone(&self.stats),
+            self.block_size,
+        )
+    }
+
+    /// This file as one part of a [`SparseReader`].
+    pub(crate) fn sparse_part(&self) -> SparsePart {
+        SparsePart {
+            path: self.path.clone(),
+            first: self.vertex_base,
+            index: self.index.clone(),
+            lens: match &self.codec {
+                Codec::Plain => None,
+                Codec::Compressed { lens } => Some(Arc::clone(lens)),
+            },
+        }
     }
 
     /// Fetches `v`'s neighbour list into a fresh vector.
@@ -369,10 +455,7 @@ fn fetch_plain(state: &mut PoolState, offset: u64, v: VertexId) -> io::Result<Ve
             // Validate the header the moment it completes.
             let vertex = u32::from_le_bytes(header[0..4].try_into().unwrap());
             if vertex != v {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("record index out of sync: found vertex {vertex} at {v}'s offset"),
-                ));
+                return Err(out_of_sync(u64::from(vertex), v));
             }
             body_len = 4 * u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
         }
@@ -409,22 +492,37 @@ fn fetch_compressed(
             "truncated compressed adjacency record",
         ));
     }
-    // The record is fully in memory: decode it with the chunked slice
-    // fast path. Running off the end of `raw` means the index length
-    // disagreed with the record — a truncation, not a refill condition.
+    let mut nbrs = std::mem::take(nbrs);
+    decode_compressed_record(raw, v, &mut nbrs)?;
+    Ok(nbrs)
+}
+
+/// Decodes one whole varint/gap-coded `MISADJC1` record held in `raw`
+/// into `nbrs`, checking that it belongs to `v`. Running off the end of
+/// `raw` means the index length disagreed with the record — a
+/// truncation, not a refill condition.
+pub(crate) fn decode_compressed_record(
+    raw: &[u8],
+    v: VertexId,
+    nbrs: &mut Vec<VertexId>,
+) -> io::Result<()> {
     let to_io = |e: mis_extmem::varint::SliceError| e.into_io_error("compressed adjacency record");
     let (vertex, a) = decode_varint_slice(raw).map_err(to_io)?;
     if vertex != u64::from(v) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("record index out of sync: found vertex {vertex} at {v}'s offset"),
-        ));
+        return Err(out_of_sync(vertex, v));
     }
     let (degree, b) = decode_varint_slice(&raw[a..]).map_err(to_io)?;
-    let mut nbrs = std::mem::take(nbrs);
     nbrs.clear();
-    decode_ascending_gaps_slice(&raw[a + b..], &mut nbrs, degree as usize).map_err(to_io)?;
-    Ok(nbrs)
+    decode_ascending_gaps_slice(&raw[a + b..], nbrs, degree as usize).map_err(to_io)?;
+    Ok(())
+}
+
+/// The error of a record index pointing at another vertex's record.
+pub(crate) fn out_of_sync(found: u64, v: VertexId) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("record index out of sync: found vertex {found} at {v}'s offset"),
+    )
 }
 
 impl NeighborAccess for RandomAccessGraph {
@@ -440,11 +538,11 @@ impl NeighborAccess for RandomAccessGraph {
     }
 
     fn resident_bytes(&self) -> u64 {
-        // 8 bytes of offset per vertex, plus the explicit 4-byte record
-        // length the variable-width compressed records need.
+        // The offsets (4 or 8 bytes per vertex), plus the explicit 4-byte
+        // record length the variable-width compressed records need.
         let per_vertex = match &self.codec {
-            Codec::Plain => 8,
-            Codec::Compressed { .. } => 12,
+            Codec::Plain => self.index.bytes_per_vertex(),
+            Codec::Compressed { .. } => self.index.bytes_per_vertex() + 4,
         };
         self.config.capacity_bytes() + per_vertex * self.index.len() as u64
     }
@@ -649,10 +747,19 @@ mod tests {
         let dir = ScratchDir::new("raccess-mem").unwrap();
         let stats = IoStats::shared();
         let file = build_adj_file(&g, &dir.file("g.adj"), stats, 64).unwrap();
+        // A scan-built index of a small file keeps 4-byte offsets.
         let ra = RandomAccessGraph::open(&file, tiny_config(2)).unwrap();
-        assert_eq!(ra.resident_bytes(), 2 * 16 + 8 * 6);
+        assert_eq!(ra.resident_bytes(), 2 * 16 + 4 * 6);
         assert_eq!(ra.access_storage(), "adj-file+pager");
         assert_eq!(ra.num_vertices(), 6);
         assert_eq!(ra.num_edges(), 6);
+        // Caller-supplied offsets stay 8 bytes wide.
+        let narrow = RecordIndex::build(&file).unwrap();
+        assert_eq!(narrow.bytes_per_vertex(), 4);
+        let wide = RecordIndex::from_offsets((0..6).map(|v| narrow.offset(v)).collect());
+        assert_eq!(wide.bytes_per_vertex(), 8);
+        let ra = RandomAccessGraph::with_index(&file, wide, tiny_config(2)).unwrap();
+        assert_eq!(ra.resident_bytes(), 2 * 16 + 8 * 6);
+        assert_eq!(ra.neighbors(1).unwrap().len(), 3);
     }
 }

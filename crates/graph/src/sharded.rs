@@ -60,6 +60,7 @@ use crate::anyfile::AnyAdjFile;
 use crate::compressed::{CompressedAdjFile, CompressedAdjWriter};
 use crate::raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
 use crate::scan::{DecodedUnit, GraphScan, RawScan, RawScanLimits, RawUnit};
+use crate::sparse::SparseReader;
 use crate::VertexId;
 
 /// Magic bytes of the manifest file.
@@ -715,6 +716,8 @@ impl ShardedGraph {
 /// conflict resolution is unchanged.
 pub struct ShardedRandomAccess {
     shards: Vec<RandomAccessGraph>,
+    stats: Arc<IoStats>,
+    block_size: usize,
     /// `record_bases[i]` = first global vertex id of shard `i`.
     record_bases: Vec<u64>,
     records: Vec<u64>,
@@ -778,11 +781,21 @@ impl ShardedRandomAccess {
         }
         Ok(Self {
             shards,
+            stats: Arc::clone(graph.stats()),
+            block_size: graph.block_size(),
             record_bases: manifest.shards.iter().map(|s| s.record_base).collect(),
             records: manifest.shards.iter().map(|s| s.records).collect(),
             num_vertices: manifest.num_vertices as usize,
             compressed: manifest.compressed,
         })
+    }
+
+    /// A [`SparseReader`] over every shard, sharing the shards' record
+    /// indexes. Shards are id-ordered vertex ranges in manifest order, so
+    /// one pass reads them in storage order.
+    pub fn sparse_reader(&self) -> SparseReader {
+        let parts = self.shards.iter().map(|s| s.sparse_part()).collect();
+        SparseReader::new(parts, Arc::clone(&self.stats), self.block_size)
     }
 
     /// The shard holding vertex `v`, or an error for out-of-range `v`.

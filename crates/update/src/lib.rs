@@ -32,12 +32,13 @@
 //! * [`store::UpdateStore`] — the maintenance engine gluing base file,
 //!   tiered log and checkpoint together: `append_ops` → (policy-driven)
 //!   `roll_segment`/`compact_segments` → `apply` (replay into a
-//!   [`mis_graph::DeltaGraph`], deletion-aware repair via
-//!   [`mis_core::repair_updated_set`], re-checkpoint) → `compact` (merge
+//!   [`mis_graph::DeltaGraph`], deletion-aware batch repair via
+//!   [`mis_core::repair_batch`], re-checkpoint) → `compact` (merge
 //!   into a fresh indexed adjacency file, truncate the log);
 //! * [`serve::ServeEngine`] — the long-running front end behind `mis
 //!   serve`: batches updates into epochs, repairs the maintained set on
-//!   pinned snapshots (readers never block on ingest), and answers
+//!   pinned snapshots from the records each batch touches (readers never
+//!   block on ingest), and answers
 //!   membership/neighborhood/stats queries.
 //!
 //! All log and checkpoint I/O is accounted in the shared

@@ -2,10 +2,30 @@
 //!
 //! [`ServeEngine`] is what the `mis serve` process wraps around an
 //! [`UpdateStore`]: edge updates are **batched** into WAL epochs, the
-//! maintained independent set is repaired **incrementally** per epoch
-//! (via [`mis_core::repair_updated_set_from_ops`] — eviction walks the
-//! batch, not the graph), and queries are answered from an epoch-pinned
-//! [`ServeView`] that ingest never blocks.
+//! maintained independent set is repaired **incrementally** per epoch,
+//! and queries are answered from an epoch-pinned [`ServeView`] that
+//! ingest never blocks.
+//!
+//! ## Batch-proportional flushes
+//!
+//! Each flush runs [`mis_core::repair_batch`] on the epoch's pinned
+//! graph. It reads only the records the batch touches — the batch's
+//! endpoints, the members that leave with their neighbours, the
+//! vertices that join — in one storage-ordered [`SparseReader`] pass per
+//! dependency step. The reader shares the record index of the query
+//! path but not its pager: its block reads are ordinary accounted reads,
+//! and the pager's frames stay with the readers. The engine keeps the
+//! per-vertex IS-neighbour counts across epochs (4 bytes per vertex;
+//! they come out of the bootstrap's proof scan), so candidates need no
+//! scan, and a flush after a proved epoch proves its own result locally
+//! from the records it read. So such a flush starts no full scan,
+//! whatever `|V|`. An unproved previous epoch costs one proof scan; a
+//! flush after a failed one also recounts with one scan and treats the
+//! last published view as unproved, since the failed epoch's operations
+//! are durable but were never repaired. The [`FlushReport`] and `STATS` report
+//! the records, sparse passes and full scans each flush spent, and the
+//! trace splits `serve.repair` into `repair.evict`, `repair.onek` and
+//! `repair.proof`.
 //!
 //! ## Concurrency protocol
 //!
@@ -26,8 +46,8 @@
 //!   epoch for as long as it likes — the snapshot machinery pins the
 //!   segment files underneath ([`crate::snapshot::Snapshot`]).
 //!
-//! Flushes themselves are serialized by a dedicated mutex so epochs
-//! commit and publish in order.
+//! Flushes themselves are serialized by the mutex that holds the
+//! IS-neighbour counts, so epochs commit and publish in order.
 //!
 //! Neighborhood queries go through one shared [`NeighborAccess`] point
 //! path (plain, compressed or sharded — whatever backs the store), so
@@ -39,9 +59,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use mis_core::{repair_updated_set_from_ops, RepairConfig};
+use mis_core::{is_neighbour_counts, repair_batch, RepairConfig};
 use mis_extmem::PagerConfig;
-use mis_graph::{AnyAdjFile, GraphScan, NeighborAccess, PinnedDelta, RandomAccessGraph, VertexId};
+use mis_graph::{
+    AnyAdjFile, GraphScan, NeighborAccess, OverlaidRecords, PinnedDelta, RandomAccessGraph,
+    SparseReader, VertexId,
+};
 use mis_obs::{RequestStats, RequestSummary};
 
 use crate::store::{RollPolicy, StoreStatus, UpdateStore};
@@ -58,7 +81,7 @@ pub struct ServeConfig {
     pub roll_bytes: u64,
     /// Merge sealed segments once this many are live.
     pub compact_threshold: usize,
-    /// Per-epoch repair tuning (recover rounds, proof scan).
+    /// Per-epoch repair tuning (recover rounds, proof).
     pub repair: RepairConfig,
     /// The shared pager budget of the neighborhood-query path.
     pub pager: PagerConfig,
@@ -108,7 +131,7 @@ impl ServeView {
         &self.graph
     }
 
-    /// Whether this epoch's proof scan certified maximality.
+    /// Whether this epoch's proof certified maximality.
     pub fn maximality_proved(&self) -> bool {
         self.maximality_proved
     }
@@ -125,12 +148,19 @@ pub struct FlushReport {
     pub evicted: u64,
     /// Maintained set size after repair.
     pub set_size: usize,
-    /// Whether the proof scan certified maximality.
+    /// Whether the repair's proof certified maximality.
     pub maximality_proved: bool,
     /// Whether the WAL rolled into a sealed segment.
     pub rolled: bool,
     /// Segments merged by a partial compaction, if one ran.
     pub compacted: usize,
+    /// Records the repair read.
+    pub records_read: u64,
+    /// Record passes served by the sparse reader.
+    pub sparse_passes: u64,
+    /// Full scans the flush started (a recount and a proof scan after a
+    /// failed flush, a proof scan after an unproved epoch).
+    pub full_scans: u64,
 }
 
 /// A point-in-time summary for the `STATS` verb.
@@ -148,6 +178,12 @@ pub struct ServeStats {
     pub rolls: u64,
     /// Partial (segment) compactions performed.
     pub compactions: u64,
+    /// Records the flushes' repairs read.
+    pub records_read: u64,
+    /// Record passes served by the sparse reader.
+    pub sparse_passes: u64,
+    /// Full scans the flushes started.
+    pub full_scans: u64,
     /// Requests answered, by kind, with latency quantiles.
     pub requests: Vec<(&'static str, RequestSummary)>,
 }
@@ -157,14 +193,24 @@ pub struct ServeEngine {
     store: Mutex<UpdateStore>,
     view: RwLock<Arc<ServeView>>,
     pending: Mutex<Vec<EdgeOp>>,
-    flush_lock: Mutex<()>,
+    /// Held for a whole flush: serializes flushes and guards each
+    /// vertex's count of neighbours in the published set, which the
+    /// repair keeps across epochs (`None` after a failed repair or
+    /// checkpoint, until a scan recounts them).
+    counts: Mutex<Option<Vec<u32>>>,
     access: Mutex<Box<dyn NeighborAccess + Send>>,
+    /// The repair's record reads: same file and index as `access`, no
+    /// pager.
+    records: SparseReader,
     requests: RequestStats,
     config: ServeConfig,
     num_vertices: usize,
     flushes: AtomicU64,
     rolls: AtomicU64,
     compactions: AtomicU64,
+    records_read: AtomicU64,
+    sparse_passes: AtomicU64,
+    full_scans: AtomicU64,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -178,9 +224,10 @@ impl std::fmt::Debug for ServeEngine {
 
 impl ServeEngine {
     /// Wraps `store` for serving: brings the checkpoint up to the last
-    /// committed epoch (bootstrapping the set if none exists), publishes
-    /// the initial view, and opens the shared point-access path on the
-    /// base file.
+    /// committed epoch (bootstrapping the set if none exists) and keeps
+    /// the IS-neighbour counts that leaves behind, publishes the initial
+    /// view, and opens the shared point-access path and the repair's
+    /// sparse reader on the base file.
     ///
     /// The store's roll policy is disabled — the engine drives rolls and
     /// segment compactions itself from the [`ServeConfig`] thresholds so
@@ -192,29 +239,29 @@ impl ServeEngine {
             max_wal_epochs: u64::MAX,
             compact_threshold: usize::MAX,
         });
-        let report = store.apply(config.repair)?;
+        let (report, counts) = store.apply_counted(config.repair)?;
         let ckpt =
             crate::checkpoint::Checkpoint::load(&store_checkpoint_path(&store), store.stats())?;
         let snap = store.snapshot();
-        let view = build_view(
-            snap.pinned(),
-            ckpt.set,
-            report.maximality_proved || report.up_to_date,
-        );
-        let access = open_access(store.base(), config.pager)?;
+        let view = build_view(snap.pinned(), ckpt.set, report.maximality_proved);
+        let (access, records) = open_access(store.base(), config.pager)?;
         let num_vertices = store.base().num_vertices();
         Ok(Self {
             store: Mutex::new(store),
             view: RwLock::new(Arc::new(view)),
             pending: Mutex::new(Vec::new()),
-            flush_lock: Mutex::new(()),
+            counts: Mutex::new(Some(counts)),
             access: Mutex::new(access),
+            records,
             requests: RequestStats::new(),
             config,
             num_vertices,
             flushes: AtomicU64::new(0),
             rolls: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
+            records_read: AtomicU64::new(0),
+            sparse_passes: AtomicU64::new(0),
+            full_scans: AtomicU64::new(0),
         })
     }
 
@@ -264,10 +311,11 @@ impl ServeEngine {
 
     /// Commits everything pending as one epoch: append to the WAL, roll
     /// and compact segments per policy, repair the maintained set on the
-    /// epoch's pinned snapshot (store unlocked), checkpoint, and publish
-    /// the new view. Returns `None` when nothing was pending.
+    /// epoch's pinned snapshot (store unlocked) from the records the
+    /// batch touches, checkpoint, and publish the new view. Returns
+    /// `None` when nothing was pending.
     pub fn flush(&self) -> io::Result<Option<FlushReport>> {
-        let _serial = self.flush_lock.lock().expect("flush lock poisoned");
+        let mut counts_slot = self.counts.lock().expect("flush lock poisoned");
         let batch: Vec<EdgeOp> = {
             let mut pending = self.pending.lock().expect("pending lock poisoned");
             std::mem::take(&mut *pending)
@@ -306,47 +354,70 @@ impl ServeEngine {
 
         // Repair part: store unlocked — readers and submitters proceed.
         let prev = self.view();
-        debug_assert_eq!(prev.epoch() + 1, snap.epoch(), "flushes are serialized");
-        // Eviction must only see the batch's *net* insertions: a pair
-        // inserted and then deleted later in the same batch is absent
-        // from the committed graph, so feeding it to the repair would
-        // evict a member over an edge that does not exist. Last op per
-        // (normalised) pair wins, exactly as the overlay replays it.
-        let mut net: std::collections::HashMap<(VertexId, VertexId), bool> = Default::default();
-        for op in &batch {
-            let (u, v) = op.endpoints();
-            net.insert((u.min(v), u.max(v)), op.is_insert());
-        }
-        let inserted: Vec<(VertexId, VertexId)> = net
-            .into_iter()
-            .filter(|&(_, is_insert)| is_insert)
-            .map(|(pair, _)| pair)
+        let touched: Vec<VertexId> = batch
+            .iter()
+            .flat_map(|op| {
+                let (u, v) = op.endpoints();
+                [u, v]
+            })
             .collect();
         let pinned = snap.pinned();
+        // The counts go back into the slot only once the view they
+        // describe is published. A flush that failed after its append
+        // left a durable epoch no view covers, whose operations are not
+        // in `touched`: recount on this epoch's graph and let the repair
+        // treat the previous set as unproved, so the recounted counts
+        // lead it to that epoch's damage and a full proof checks the
+        // result.
+        let counts = counts_slot.take();
+        let resync = counts.is_none() || prev.epoch() + 1 != snap.epoch();
+        let (mut counts, recount_scans) = match counts {
+            Some(counts) if !resync => (counts, 0),
+            _ => (is_neighbour_counts(&pinned, prev.set())?, 1),
+        };
         let out = {
             let _span = mis_obs::span("serve", "serve.repair");
-            repair_updated_set_from_ops(&pinned, prev.set(), &inserted, self.config.repair)
+            let records = OverlaidRecords::new(&self.records, pinned.overlay());
+            repair_batch(
+                &pinned,
+                Some(&records),
+                prev.set(),
+                &mut counts,
+                &touched,
+                prev.maximality_proved() && !resync,
+                self.config.repair,
+            )?
         };
         let report = FlushReport {
             epoch: snap.epoch(),
             ops: batch.len(),
             evicted: out.evicted,
-            set_size: out.swap.result.set.len(),
+            set_size: out.set.len(),
             maximality_proved: out.maximality_proved,
             rolled,
             compacted,
+            records_read: out.records_read,
+            sparse_passes: out.sparse_passes,
+            full_scans: out.full_scans + recount_scans,
         };
 
         // Commit part: checkpoint the repaired set, reclaim unpinned
         // segment files, publish the view.
         {
             let mut store = self.store.lock().expect("store lock poisoned");
-            store.write_checkpoint(report.epoch, &out.swap.result.set)?;
+            store.write_checkpoint(report.epoch, &out.set)?;
             store.gc();
         }
-        let view = build_view(pinned, out.swap.result.set, out.maximality_proved);
+        let view = build_view(pinned, out.set, out.maximality_proved);
         *self.view.write().expect("view lock poisoned") = Arc::new(view);
+        *counts_slot = Some(counts);
         self.flushes.fetch_add(1, Ordering::Relaxed);
+        self.records_read
+            .fetch_add(report.records_read, Ordering::Relaxed);
+        self.sparse_passes
+            .fetch_add(report.sparse_passes, Ordering::Relaxed);
+        self.full_scans
+            .fetch_add(report.full_scans, Ordering::Relaxed);
         self.requests
             .record("flush", started.elapsed().as_nanos() as u64);
         Ok(Some(report))
@@ -391,6 +462,9 @@ impl ServeEngine {
             flushes: self.flushes.load(Ordering::Relaxed),
             rolls: self.rolls.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
+            records_read: self.records_read.load(Ordering::Relaxed),
+            sparse_passes: self.sparse_passes.load(Ordering::Relaxed),
+            full_scans: self.full_scans.load(Ordering::Relaxed),
             requests: self.requests.summaries(),
         };
         self.requests
@@ -434,15 +508,28 @@ fn build_view(
     }
 }
 
-/// Opens the point-access path matching the base file's format.
+/// Opens the point-access path matching the base file's format, and the
+/// sparse reader sharing its record index.
 fn open_access(
     base: &AnyAdjFile,
     pager: PagerConfig,
-) -> io::Result<Box<dyn NeighborAccess + Send>> {
+) -> io::Result<(Box<dyn NeighborAccess + Send>, SparseReader)> {
     Ok(match base {
-        AnyAdjFile::Plain(f) => Box::new(RandomAccessGraph::open(f, pager)?),
-        AnyAdjFile::Compressed(f) => Box::new(RandomAccessGraph::open_compressed(f, pager)?),
-        AnyAdjFile::Sharded(g) => Box::new(g.open_random_access(pager)?),
+        AnyAdjFile::Plain(f) => {
+            let ra = RandomAccessGraph::open(f, pager)?;
+            let records = ra.sparse_reader();
+            (Box::new(ra), records)
+        }
+        AnyAdjFile::Compressed(f) => {
+            let ra = RandomAccessGraph::open_compressed(f, pager)?;
+            let records = ra.sparse_reader();
+            (Box::new(ra), records)
+        }
+        AnyAdjFile::Sharded(g) => {
+            let ra = g.open_random_access(pager)?;
+            let records = ra.sparse_reader();
+            (Box::new(ra), records)
+        }
     })
 }
 
@@ -618,5 +705,133 @@ mod tests {
         let view = eng.view();
         assert_eq!(view.epoch(), 6);
         assert!(view.maximality_proved());
+    }
+
+    #[test]
+    fn a_failed_flush_leaves_no_unrepaired_epoch_behind() {
+        // A flush that fails after its append leaves a durable epoch
+        // that no published view covers. Here that epoch connects two
+        // members the next batch does not touch; the next flush must
+        // still repair it (or at least not claim a proof).
+        for fail_at in ["roll", "checkpoint"] {
+            let dir = ScratchDir::new("serve-failed-flush").unwrap();
+            let eng = engine(
+                &dir,
+                ServeConfig {
+                    batch_ops: usize::MAX,
+                    roll_epochs: 1,
+                    ..ServeConfig::default()
+                },
+            );
+            let v0 = eng.view();
+            let (a, b) = (v0.set()[0], v0.set()[1]);
+            let others: Vec<VertexId> = (0..eng.num_vertices() as VertexId)
+                .filter(|&v| v != a && v != b)
+                .take(2)
+                .collect();
+            let (x, y) = (others[0], others[1]);
+            // Block the roll's segment directory or the checkpoint's
+            // rename with a file or a non-empty directory in the way.
+            let blocker = match fail_at {
+                "roll" => dir.file("edits.segs"),
+                _ => dir.file("is.ckpt"),
+            };
+            if fail_at == "roll" {
+                std::fs::write(&blocker, b"in the way").unwrap();
+            } else {
+                std::fs::remove_file(&blocker).unwrap();
+                std::fs::create_dir(&blocker).unwrap();
+                std::fs::write(blocker.join("x"), b"in the way").unwrap();
+            }
+            eng.submit(&[EdgeOp::Insert(a.min(b), a.max(b))]).unwrap();
+            assert!(eng.flush().is_err(), "{fail_at} must fail");
+            assert_eq!(eng.view().epoch(), 0, "{fail_at}: nothing published");
+            if fail_at == "roll" {
+                std::fs::remove_file(&blocker).unwrap();
+            } else {
+                std::fs::remove_dir_all(&blocker).unwrap();
+            }
+
+            eng.submit(&[EdgeOp::Insert(x, y)]).unwrap();
+            let report = eng.flush().unwrap().unwrap();
+            assert_eq!(report.epoch, 2, "{fail_at}");
+            let view = eng.view();
+            assert!(
+                mis_core::is_maximal_independent_set(view.graph(), view.set()),
+                "{fail_at}: the failed epoch is repaired"
+            );
+            assert!(report.maximality_proved, "{fail_at}");
+            assert!(!(view.is_member(a) && view.is_member(b)), "{fail_at}");
+            assert!(report.full_scans >= 1, "{fail_at}: recount");
+            let kept = eng.counts.lock().unwrap().clone().unwrap();
+            assert_eq!(
+                kept,
+                is_neighbour_counts(view.graph(), view.set()).unwrap(),
+                "{fail_at}"
+            );
+
+            // Back in step: the next flush is local again.
+            eng.submit(&[EdgeOp::Delete(x, y)]).unwrap();
+            let report = eng.flush().unwrap().unwrap();
+            assert!(report.maximality_proved, "{fail_at}");
+            assert_eq!(report.full_scans, 0, "{fail_at}");
+        }
+    }
+
+    #[test]
+    fn maintained_counts_equal_a_fresh_count_scan_after_every_flush() {
+        let dir = ScratchDir::new("serve-counts").unwrap();
+        let eng = engine(
+            &dir,
+            ServeConfig {
+                batch_ops: usize::MAX,
+                roll_epochs: 2,
+                compact_threshold: 2,
+                ..ServeConfig::default()
+            },
+        );
+        let n = eng.num_vertices() as u32;
+        let mut s = 99u64;
+        for epoch in 1..=6u64 {
+            let set = eng.view().set().to_vec();
+            let mut batch = Vec::new();
+            for i in 0..40u32 {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let (u, v) = ((s >> 33) as u32 % n, (s >> 13) as u32 % n);
+                if i % 3 == 0 {
+                    // Connect two members: forces evictions.
+                    let (a, b) = (set[u as usize % set.len()], set[v as usize % set.len()]);
+                    if a != b {
+                        batch.push(EdgeOp::Insert(a, b));
+                    }
+                } else if u != v {
+                    batch.push(if i % 3 == 1 {
+                        EdgeOp::Insert(u, v)
+                    } else {
+                        EdgeOp::Delete(u, v)
+                    });
+                }
+            }
+            eng.submit(&batch).unwrap();
+            let report = eng.flush().unwrap().unwrap();
+            assert_eq!(report.epoch, epoch);
+            assert!(report.maximality_proved);
+            assert_eq!(report.full_scans, 0, "epoch {epoch}");
+            assert!(report.sparse_passes > 0 && report.records_read > 0);
+            let view = eng.view();
+            assert!(mis_core::is_maximal_independent_set(
+                view.graph(),
+                view.set()
+            ));
+            let kept = eng.counts.lock().unwrap().clone().unwrap();
+            assert_eq!(
+                kept,
+                is_neighbour_counts(view.graph(), view.set()).unwrap(),
+                "epoch {epoch}"
+            );
+        }
+        let stats = eng.stats();
+        assert_eq!(stats.full_scans, 0);
+        assert!(stats.sparse_passes >= 6 && stats.records_read > 0);
     }
 }

@@ -17,8 +17,9 @@
 //! * [`UpdateStore::apply`] — bring the maintained independent set up to
 //!   the last committed epoch: replay segments + WAL tail into a
 //!   [`DeltaGraph`] overlay, resume from the checkpointed set (or
-//!   bootstrap one with Greedy), run the deletion-aware incremental
-//!   repair, and write a fresh checkpoint;
+//!   bootstrap one with Greedy), run the batch repair a serve flush runs
+//!   (with full-scan reads and a full proof), and write a fresh
+//!   checkpoint;
 //! * [`UpdateStore::compact_segments`] — the leveled/partial compactor:
 //!   merge a run of overlapping sealed segments into one (superseded
 //!   per-pair operations elided) without touching the WAL or the base,
@@ -51,12 +52,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mis_core::{repair_updated_set, Greedy, RepairConfig};
+use mis_core::{is_neighbour_counts, prove_counting, repair_batch, Greedy, RepairConfig};
 use mis_graph::adjfile::AdjFileWriter;
 use mis_graph::compressed::CompressedAdjWriter;
 use mis_graph::{
     split_adj_file, AnyAdjFile, CompressedRecordIndex, DeltaGraph, DeltaOverlay, GraphScan,
-    RecordIndex, SplitOptions,
+    RecordIndex, SplitOptions, VertexId,
 };
 
 use mis_extmem::IoStats;
@@ -627,7 +628,33 @@ impl UpdateStore {
 
     /// Brings the maintained independent set up to the last committed
     /// epoch and checkpoints it.
+    ///
+    /// Resuming from a checkpoint runs [`repair_batch`] — the repair a
+    /// `mis serve` flush runs — on the vertices touched by the operations
+    /// committed since the checkpoint epoch, with counts from one scan,
+    /// every record pass a full scan, and a full proof scan. Because the
+    /// set does not depend on how records are read, an apply after every
+    /// epoch reproduces a serve engine's sets exactly.
     pub fn apply(&self, config: RepairConfig) -> io::Result<ApplyReport> {
+        self.apply_inner(config, false).map(|(report, _)| report)
+    }
+
+    /// [`UpdateStore::apply`], also returning the IS-neighbour counts of
+    /// the checkpointed set on the edited graph: the state a serve engine
+    /// keeps across flushes. The counts come out of a scan the apply
+    /// makes anyway (the bootstrap's proof, the repair's recount); a
+    /// checkpoint that is already current costs one count scan, whose
+    /// verdict is reported as the proof.
+    pub fn apply_counted(&self, config: RepairConfig) -> io::Result<(ApplyReport, Vec<u32>)> {
+        let (report, counts) = self.apply_inner(config, true)?;
+        Ok((report, counts.expect("counts requested")))
+    }
+
+    fn apply_inner(
+        &self,
+        config: RepairConfig,
+        want_counts: bool,
+    ) -> io::Result<(ApplyReport, Option<Vec<u32>>)> {
         let _span = mis_obs::span("store", "store.apply");
         let target = self.wal.last_epoch();
         let ckpt = Checkpoint::load_if_exists(&self.ckpt_path, &self.stats)?;
@@ -648,7 +675,7 @@ impl UpdateStore {
                 ));
             }
             if ckpt.epoch == target {
-                return Ok(ApplyReport {
+                let mut report = ApplyReport {
                     epoch: ckpt.epoch,
                     resumed_from: ckpt.epoch,
                     bootstrapped: false,
@@ -657,59 +684,77 @@ impl UpdateStore {
                     set_size: ckpt.set.len(),
                     file_scans: 0,
                     maximality_proved: false,
-                });
+                };
+                if !want_counts {
+                    return Ok((report, None));
+                }
+                let (proved, counts) = prove_counting(&self.overlay(), &ckpt.set)?;
+                report.file_scans = 1;
+                report.maximality_proved = proved;
+                return Ok((report, Some(counts)));
             }
         }
 
         let delta = self.overlay();
-        let report = match ckpt {
+        let (report, set, counts) = match ckpt {
             // Resume from the checkpointed set: evict, recover, prove.
             Some(ckpt) => {
-                let out = repair_updated_set(&delta, &ckpt.set, config);
-                ApplyReport {
+                let touched: Vec<VertexId> = self
+                    .committed_ops()
+                    .filter(|&(epoch, _)| epoch > ckpt.epoch)
+                    .flat_map(|(_, op)| {
+                        let (u, v) = op.endpoints();
+                        [u, v]
+                    })
+                    .collect();
+                let mut counts = is_neighbour_counts(&delta, &ckpt.set)?;
+                let out = repair_batch(
+                    &delta,
+                    None,
+                    &ckpt.set,
+                    &mut counts,
+                    &touched,
+                    false,
+                    config,
+                )?;
+                let report = ApplyReport {
                     epoch: target,
                     resumed_from: ckpt.epoch,
                     bootstrapped: false,
                     up_to_date: false,
                     evicted: out.evicted,
-                    set_size: out.swap.result.set.len(),
-                    file_scans: out.swap.result.file_scans + out.verify_scans,
+                    set_size: out.set.len(),
+                    file_scans: 1 + out.full_scans,
                     maximality_proved: out.maximality_proved,
-                }
-                .with_checkpoint(
-                    &self.ckpt_path,
-                    target,
-                    &out.swap.result.set,
-                    &self.stats,
-                )?
+                };
+                (report, out.set, counts)
             }
-            // First apply ever: bootstrap with Greedy on the edited graph.
+            // First apply ever: bootstrap with Greedy on the edited graph;
+            // the proof scan counts as it proves.
             None => {
                 let greedy = Greedy::new().run(&delta);
-                let proved = if config.verify {
-                    mis_core::is_maximal_independent_set(&delta, &greedy.set)
+                let counts_scan = config.verify || want_counts;
+                let (proved, counts) = if counts_scan {
+                    prove_counting(&delta, &greedy.set)?
                 } else {
-                    false
+                    (false, Vec::new())
                 };
-                ApplyReport {
+                let proved = proved && config.verify;
+                let report = ApplyReport {
                     epoch: target,
                     resumed_from: 0,
                     bootstrapped: true,
                     up_to_date: false,
                     evicted: 0,
                     set_size: greedy.set.len(),
-                    file_scans: greedy.file_scans + u64::from(config.verify),
+                    file_scans: greedy.file_scans + u64::from(counts_scan),
                     maximality_proved: proved,
-                }
-                .with_checkpoint(
-                    &self.ckpt_path,
-                    target,
-                    &greedy.set,
-                    &self.stats,
-                )?
+                };
+                (report, greedy.set, counts)
             }
         };
-        Ok(report)
+        Checkpoint::write(&self.ckpt_path, target, &set, &self.stats)?;
+        Ok((report, want_counts.then_some(counts)))
     }
 
     /// Writes a checkpoint for `set` at `epoch` — the serve engine's
@@ -960,21 +1005,6 @@ fn write_overlay(
     match write_err {
         Some(e) => Err(e),
         None => Ok(()),
-    }
-}
-
-impl ApplyReport {
-    /// Writes the checkpoint this report describes, then returns `self`
-    /// (keeps the call sites above linear).
-    fn with_checkpoint(
-        self,
-        path: &Path,
-        epoch: u64,
-        set: &[mis_graph::VertexId],
-        stats: &Arc<IoStats>,
-    ) -> io::Result<Self> {
-        Checkpoint::write(path, epoch, set, stats)?;
-        Ok(self)
     }
 }
 

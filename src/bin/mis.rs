@@ -1741,9 +1741,18 @@ fn serve_execute(
             match engine.flush().map_err(|e| e.to_string())? {
                 None => Ok("OK idle".into()),
                 Some(r) => Ok(format!(
-                    "OK epoch={} ops={} evicted={} set={} proved={} rolled={} compacted={}",
-                    r.epoch, r.ops, r.evicted, r.set_size, r.maximality_proved, r.rolled,
-                    r.compacted
+                    "OK epoch={} ops={} evicted={} set={} proved={} rolled={} compacted={} \
+                     records_read={} sparse_passes={} full_scans={}",
+                    r.epoch,
+                    r.ops,
+                    r.evicted,
+                    r.set_size,
+                    r.maximality_proved,
+                    r.rolled,
+                    r.compacted,
+                    r.records_read,
+                    r.sparse_passes,
+                    r.full_scans
                 )),
             }
         }
@@ -1910,13 +1919,17 @@ fn serve_stats_json(stats: &ServeStats) -> String {
     }
     format!(
         "{{\"epoch\":{},\"set_size\":{},\"pending_ops\":{},\"flushes\":{},\"rolls\":{},\
-         \"compactions\":{},\"requests\":{{{}}}}}",
+         \"compactions\":{},\"records_read\":{},\"sparse_passes\":{},\"full_scans\":{},\
+         \"requests\":{{{}}}}}",
         stats.epoch,
         stats.set_size,
         stats.pending_ops,
         stats.flushes,
         stats.rolls,
         stats.compactions,
+        stats.records_read,
+        stats.sparse_passes,
+        stats.full_scans,
         reqs
     )
 }
@@ -2594,6 +2607,10 @@ mod tests {
         );
         let stats = ask(&mut conn, "STATS");
         assert!(stats.starts_with("OK {\"epoch\":1,"), "{stats}");
+        assert!(flushed.contains(" records_read="), "{flushed}");
+        for key in ["records_read", "sparse_passes", "full_scans"] {
+            assert!(stats.contains(&format!("\"{key}\":")), "{stats}");
+        }
         let status = ask(&mut conn, "STATUS");
         assert!(status.contains("\"last_epoch\":1"), "{status}");
         // Bad requests get an ERR, not a dropped connection.
