@@ -1,5 +1,9 @@
-//! Ablation of the design choices called out in DESIGN.md §5:
-//! `N`-re-promotion, the maximality finalisation pass, and early stop.
+//! Ablation of the swap algorithms' deviations from the pseudo-code, as
+//! listed in the swap round driver's module docs
+//! (`crates/core/src/swap.rs`): `N`-re-promotion, the maximality
+//! finalisation pass, and early stop. Two-k always re-derives `N`
+//! (Algorithm 3 does), so its "no N-re-promotion" column equals its
+//! default one.
 
 use mis_core::{Greedy, OneKSwap, SwapConfig, TwoKSwap};
 use mis_graph::OrderedCsr;

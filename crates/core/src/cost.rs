@@ -9,8 +9,10 @@
 //! * [`Greedy`](crate::Greedy) visits every record once —
 //!   [`GREEDY_SCANS`]` = 1`.
 //! * [`OneKSwap`](crate::OneKSwap) and [`TwoKSwap`](crate::TwoKSwap)
-//!   share one `InitCandidates` pass before round one
-//!   ([`SWAP_INIT_SCANS`]), then per round run the pre-swap candidate
+//!   run one round loop, the crate-private swap-round driver
+//!   (`crates/core/src/swap.rs`, home of the `InitCandidates` pass). It
+//!   runs one `InitCandidates` pass before round one
+//!   ([`SWAP_INIT_SCANS`]), then per round the pre-swap candidate
 //!   pass plus the post-swap ordered re-derivation fold
 //!   ([`SWAP_SCANS_PER_ROUND`]` = 2`); a round that verified its
 //!   candidates through the buffer pool skips the pre-swap *scan*

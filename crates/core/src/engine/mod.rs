@@ -47,7 +47,7 @@
 use std::io;
 use std::num::NonZeroUsize;
 
-use mis_graph::{GraphScan, NeighborAccess, RawScan, VertexId};
+use mis_graph::{GraphScan, RawScan, VertexId};
 
 pub mod passes;
 mod queue;
@@ -221,35 +221,6 @@ impl Executor {
         match self.raw_backend(graph) {
             Some((raw, cfg)) => fold_ordered_raw(raw, cfg, f),
             None => graph.scan(f),
-        }
-    }
-}
-
-/// Runs one swap-round candidate pass, shared by the one-k and two-k
-/// algorithms: when a random-access provider exists **and**
-/// `select_paged_candidates` produced a candidate list, visits exactly
-/// those candidates in storage order through the provider (the paged
-/// path of PR 2); otherwise performs one full pass in storage order
-/// through `executor`. Returns `true` when the paged path was taken, so
-/// the caller can account a paged round instead of a file scan.
-pub(crate) fn candidate_pass<G: GraphScan + ?Sized>(
-    executor: &Executor,
-    graph: &G,
-    access: Option<&dyn NeighborAccess>,
-    cands: Option<Vec<u32>>,
-    body: &mut dyn FnMut(VertexId, &[VertexId]),
-) -> bool {
-    match (access, cands) {
-        (Some(acc), Some(cands)) => {
-            for &u in &cands {
-                acc.with_neighbors(u, &mut |ns| body(u, ns))
-                    .expect("paged read failed");
-            }
-            true
-        }
-        _ => {
-            executor.fold_ordered(graph, body).expect("scan failed");
-            false
         }
     }
 }

@@ -57,6 +57,7 @@ impl Greedy {
 
     /// Runs one pass and returns a **maximal** independent set.
     pub fn run<G: GraphScan + ?Sized>(&self, graph: &G) -> MisResult {
+        let _span = mis_obs::span("pass", "greedy");
         let n = graph.num_vertices();
         let mut state = vec![State::Initial; n];
         self.executor

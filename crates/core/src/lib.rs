@@ -16,6 +16,12 @@
 //! | [`upper_bound_scan`] | Algorithm 5 | one-scan star-partition upper bound on α(G) |
 //! | [`exact::maximum_independent_set`] | — | exact branch-and-bound for small graphs (test oracle) |
 //!
+//! One-k and two-k are two moves over one crate-private swap-round
+//! driver (`swap.rs`): it owns the state array, the round loop, the
+//! candidate, swap, post-swap and finalisation passes and the scan
+//! accounting, and documents where the rounds deviate from the paper's
+//! pseudo-code; each algorithm adds only what its move needs.
+//!
 //! The swap algorithms carry per-round instrumentation ([`SwapStats`]) so
 //! the experiment harness can regenerate the paper's Tables 6–8 and
 //! Figure 10 (round counts, early-stop profile, SC size, memory model).
@@ -42,6 +48,7 @@ pub mod onek;
 pub mod order;
 pub mod peeling;
 pub mod result;
+mod swap;
 pub mod tfp;
 pub mod twok;
 pub mod verify;

@@ -2,153 +2,19 @@
 //!
 //! Starting from a maximal independent set, repeatedly exchange one IS
 //! vertex `w` for `k ≥ 2` non-IS vertices whose only IS neighbour is `w`.
-//! Everything runs as sequential scans with six per-vertex states
-//! (Table 3 of the paper):
-//!
-//! | state | meaning |
-//! |---|---|
-//! | `I` | in the independent set |
-//! | `N` | not in the set |
-//! | `A` | non-IS, adjacent to exactly one IS vertex (a swap candidate) |
-//! | `P` | protected — will enter the set this round |
-//! | `C` | conflicted — lost this round's race to an adjacent `P` |
-//! | `R` | retrograde — IS vertex leaving the set this round |
-//!
-//! Each round is a **pre-swap** scan (detect 1-2 swap skeletons and
-//! conflicts; earlier records preempt later ones, which resolves swap
-//! conflicts deterministically), an in-memory **swap** (`P→I`, `R→N`; the
-//! paper phrases this as a third scan, but it touches no adjacency data,
-//! so this implementation performs it in memory — each round therefore
-//! costs two file scans, not three), and a **post-swap** scan
-//! (0↔1 swaps and re-derivation of `A` states for the next round).
-//!
-//! Skeleton detection uses the paper's `ISN`-reuse trick: for an IS vertex
-//! `w` the `ISN` slot holds `y = |ISN⁻¹(w)|`, the number of live `A`
-//! vertices pointing at `w`; a vertex `u` hosts a skeleton iff
-//! `y − 1 − x ≥ 1` where `x` counts `u`'s own A-neighbours pointing at
-//! `w` — an `O(deg u)` check with zero extra memory.
+//! The rounds — a candidate scan that detects 1-2 swap skeletons and
+//! conflicts, an in-memory swap, and a post-swap scan that makes 0↔1
+//! swaps and re-derives the candidates — are the shared swap-round
+//! driver's (`crates/core/src/swap.rs`, whose module docs list the state
+//! machine and the deviations from the pseudo-code). One-k keeps one IS
+//! neighbour per candidate, 5 bytes per vertex in all, and adds only
+//! Algorithm 2's verbatim post-swap rule for plain `N` vertices when
+//! [`SwapConfig::repromote_n`] is off.
 
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
-use crate::engine::{self, Executor, ScanPass};
-use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
-
-pub(crate) const NONE: u32 = u32::MAX;
-
-/// The initial `A`-state derivation shared by both swap algorithms
-/// (lines 1–3 of Algorithms 2 and 3): for every vertex still `N`, find
-/// its IS neighbours. Each record's verdict reads only the frozen `I`
-/// membership, so the pass is mergeable and parallelises; the caller
-/// applies the collected `(v, w1, w2)` assignments after the scan
-/// (`w2 == NONE` for singletons).
-pub(crate) struct InitCandidates<'a> {
-    state: &'a [S],
-    /// IS-neighbour slots tracked before breaking: 1 for one-k-swap
-    /// (singleton `A` only), 2 for two-k-swap.
-    slots: u32,
-}
-
-impl<'a> InitCandidates<'a> {
-    pub(crate) fn new(state: &'a [S], slots: u32) -> Self {
-        Self { state, slots }
-    }
-}
-
-impl ScanPass for InitCandidates<'_> {
-    type Shard = Vec<(u32, u32, u32)>;
-    type Output = Vec<(u32, u32, u32)>;
-
-    fn new_shard(&self) -> Self::Shard {
-        Vec::new()
-    }
-
-    fn visit(&self, shard: &mut Self::Shard, v: VertexId, ns: &[VertexId]) {
-        if self.state[v as usize] != S::N {
-            return;
-        }
-        let mut count = 0u32;
-        let (mut w1, mut w2) = (NONE, NONE);
-        for &u in ns {
-            if self.state[u as usize] == S::I {
-                count += 1;
-                if w1 == NONE {
-                    w1 = u;
-                } else if w2 == NONE {
-                    w2 = u;
-                }
-                if count > self.slots {
-                    break;
-                }
-            }
-        }
-        if count >= 1 && count <= self.slots {
-            shard.push((v, w1, if count == 2 { w2 } else { NONE }));
-        }
-    }
-
-    fn merge(&self, into: &mut Self::Shard, later: Self::Shard) {
-        into.extend(later);
-    }
-
-    fn finish(&self, shard: Self::Shard) -> Self::Output {
-        shard
-    }
-}
-
-/// Collects one round's paged-path candidates: `Some(list)` sorted into
-/// storage order when an access provider exists and at most
-/// `threshold · |V|` vertices are in state `A`, else `None` (fall back to
-/// a full scan).
-///
-/// The pre-swap pass only ever *acts* on vertices that are `A` when their
-/// record arrives, and no vertex enters `A` during the pass — so visiting
-/// exactly the round's initial `A` set, in storage order, reproduces the
-/// full scan's behaviour (including its earlier-record-wins conflict
-/// resolution) while reading only the candidates' records.
-pub(crate) fn select_paged_candidates(
-    access: Option<&dyn NeighborAccess>,
-    threshold: f64,
-    state: &[S],
-) -> Option<Vec<u32>> {
-    let access = access?;
-    if threshold <= 0.0 {
-        return None;
-    }
-    let limit = (threshold * state.len() as f64) as usize;
-    let mut cands: Vec<u32> = Vec::new();
-    for (v, &s) in state.iter().enumerate() {
-        if s == S::A {
-            if cands.len() >= limit {
-                return None;
-            }
-            cands.push(v as u32);
-        }
-    }
-    let mut keyed: Vec<(u64, u32)> = cands
-        .into_iter()
-        .map(|v| (access.record_rank(v), v))
-        .collect();
-    keyed.sort_unstable();
-    Some(keyed.into_iter().map(|(_, v)| v).collect())
-}
-
-/// Vertex states; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub(crate) enum S {
-    /// In the independent set.
-    I,
-    /// Not in the set.
-    N,
-    /// Adjacent swap candidate.
-    A,
-    /// Protected (entering this round).
-    P,
-    /// Conflicted this round.
-    C,
-    /// Retrograde (leaving this round).
-    R,
-}
+use crate::result::{RoundStats, SwapConfig, SwapOutcome};
+use crate::swap::{self, Move, Vertices, NONE, S};
 
 /// The one-k-swap algorithm (Algorithm 2).
 #[derive(Debug, Clone, Copy, Default)]
@@ -191,229 +57,39 @@ impl OneKSwap {
         access: Option<&dyn NeighborAccess>,
         initial: &[VertexId],
     ) -> SwapOutcome {
-        let n = graph.num_vertices();
-        let mut state = vec![S::N; n];
-        let mut isn = vec![NONE; n];
-        for &v in initial {
-            state[v as usize] = S::I;
-            isn[v as usize] = 0; // count slot for IS vertices
-        }
-        let mut file_scans: u64 = 0;
-        let executor = self.config.executor;
-
-        // Lines 1–3: derive initial A states and ISN counts (one
-        // mergeable engine pass).
-        file_scans += 1;
-        let assignments = executor
-            .run_pass(graph, &InitCandidates::new(&state, 1))
-            .expect("scan failed");
-        for (v, w, _) in assignments {
-            state[v as usize] = S::A;
-            isn[v as usize] = w;
-            isn[w as usize] += 1;
-        }
-
-        let mut stats = SwapStats {
-            initial_size: initial.len() as u64,
-            ..SwapStats::default()
-        };
-        let round_cap = self
-            .config
-            .max_rounds
-            .map(|r| r as usize)
-            .unwrap_or_else(|| n.max(16)); // worst case is n/3 rounds (Fig. 5)
-        let mut stagnant_rounds = 0u32;
-
-        let mut can_swap = true;
-        while can_swap && stats.rounds.len() < round_cap {
-            can_swap = false;
-            let mut round = RoundStats::default();
-
-            // ---- Pre-swap pass (lines 7–14): one full scan, or paged
-            // candidate verification when few candidates are live. ----
-            let cands = select_paged_candidates(access, self.config.paged_threshold, &state);
-            let mut pre_body = |u: VertexId, ns: &[VertexId]| {
-                if state[u as usize] != S::A {
-                    return;
-                }
-                // Case (i): a neighbour already protected this round.
-                if ns.iter().any(|&nb| state[nb as usize] == S::P) {
-                    state[u as usize] = S::C;
-                    let w = isn[u as usize] as usize;
-                    if state[w] == S::I {
-                        isn[w] = isn[w].saturating_sub(1);
-                    }
-                    return;
-                }
-                let w = isn[u as usize] as usize;
-                match state[w] {
-                    // Case (ii): a fresh 1-2 swap skeleton (u, v, w).
-                    S::I => {
-                        let y = isn[w];
-                        let x = ns
-                            .iter()
-                            .filter(|&&nb| {
-                                state[nb as usize] == S::A && isn[nb as usize] == w as u32
-                            })
-                            .count() as u32;
-                        // Another A vertex with ISN = w, not u itself
-                        // and not adjacent to u, must exist.
-                        if y >= x + 2 {
-                            state[u as usize] = S::P;
-                            state[w] = S::R;
-                        }
-                    }
-                    // Case (iii): join a swap already in progress.
-                    S::R => state[u as usize] = S::P,
-                    _ => {}
-                }
-            };
-            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body) {
-                stats.paged_rounds += 1;
-            } else {
-                file_scans += 1;
-            }
-
-            // ---- Swap phase (lines 15–19); in memory, no adjacency. ----
-            for v in 0..n {
-                match state[v] {
-                    S::P => {
-                        state[v] = S::I;
-                        isn[v] = 0;
-                        round.swapped_in += 1;
-                    }
-                    S::R => {
-                        state[v] = S::N;
-                        isn[v] = NONE;
-                        round.swapped_out += 1;
-                        can_swap = true;
-                    }
-                    _ => {}
-                }
-            }
-
-            // Reset dependant counts before re-deriving A states.
-            for v in 0..n {
-                if state[v] == S::I {
-                    isn[v] = 0;
-                }
-            }
-
-            // ---- Post-swap scan (lines 20–28); order-dependent (0↔1
-            // promotions are visible to later records), so it runs
-            // through the engine's ordered fold. ----
-            file_scans += 1;
-            executor
-                .fold_ordered(graph, &mut |u, ns| {
-                    let s = state[u as usize];
-                    if s == S::I || s == S::P || s == S::R {
-                        return;
-                    }
-                    if s == S::N && !self.config.repromote_n {
-                        // Verbatim Algorithm 2: plain N vertices only get
-                        // the 0↔1 check.
-                        if ns
-                            .iter()
-                            .all(|&nb| matches!(state[nb as usize], S::C | S::N))
-                        {
-                            state[u as usize] = S::I;
-                            isn[u as usize] = 0;
-                            round.swapped_in += 1;
-                        }
-                        return;
-                    }
-                    // Re-derive A / N (and 0↔1) from current IS neighbours.
-                    let mut count = 0u32;
-                    let mut is_nbr = NONE;
-                    let mut all_cn = true;
-                    for &nb in ns {
-                        match state[nb as usize] {
-                            S::I => {
-                                count += 1;
-                                is_nbr = nb;
-                                all_cn = false;
-                            }
-                            S::C | S::N => {}
-                            _ => all_cn = false,
-                        }
-                    }
-                    if count == 1 {
-                        state[u as usize] = S::A;
-                        isn[u as usize] = is_nbr;
-                        isn[is_nbr as usize] += 1;
-                    } else {
-                        state[u as usize] = S::N;
-                        isn[u as usize] = NONE;
-                        if count == 0 && all_cn {
-                            state[u as usize] = S::I;
-                            isn[u as usize] = 0;
-                            round.swapped_in += 1;
-                        }
-                    }
-                })
-                .expect("scan failed");
-
-            if round.net_gain() <= 0 {
-                stagnant_rounds += 1;
-            } else {
-                stagnant_rounds = 0;
-            }
-            stats.rounds.push(round);
-            if stagnant_rounds >= 3 {
-                break; // degenerate size-neutral swaps; no progress possible
-            }
-        }
-
-        if self.config.finalize_maximal {
-            file_scans += 1;
-            finalize_maximal(graph, &mut state, &executor);
-        }
-
-        let set: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| state[v as usize] == S::I)
-            .collect();
-        stats.final_size = set.len() as u64;
-        SwapOutcome {
-            result: MisResult {
-                set,
-                file_scans,
-                memory: MemoryModel {
-                    state_bytes: n as u64,
-                    isn_bytes: 4 * n as u64,
-                    pager_bytes: if stats.paged_rounds > 0 {
-                        access.map_or(0, |a| a.resident_bytes())
-                    } else {
-                        0
-                    },
-                    ..MemoryModel::default()
-                },
-            },
-            stats,
-        }
+        swap::run(graph, access, initial, &self.config, *self)
     }
 }
 
-/// One relaxed 0↔1 pass: any vertex with no IS neighbour joins. Never
-/// removes vertices, guarantees maximality (shared with two-k-swap).
-/// Order-dependent — a join is visible to later records — so it runs
-/// through the engine's ordered fold.
-pub(crate) fn finalize_maximal<G: GraphScan + ?Sized>(
-    graph: &G,
-    state: &mut [S],
-    executor: &Executor,
-) {
-    executor
-        .fold_ordered(graph, &mut |u, ns| {
-            if state[u as usize] != S::I && ns.iter().all(|&nb| state[nb as usize] != S::I) {
-                state[u as usize] = S::I;
-            }
-        })
-        .expect("scan failed");
+impl Move for OneKSwap {
+    const SLOTS: u32 = 1;
+
+    fn post_swap(
+        &mut self,
+        vx: &mut Vertices,
+        u: VertexId,
+        ns: &[VertexId],
+        round: &mut RoundStats,
+    ) -> bool {
+        if self.config.repromote_n || vx.state[u as usize] != S::N {
+            return false;
+        }
+        // Verbatim Algorithm 2: plain N vertices only get the 0↔1 check.
+        if ns
+            .iter()
+            .all(|&nb| matches!(vx.state[nb as usize], S::C | S::N))
+        {
+            vx.set(u, S::I, 0, NONE);
+            round.swapped_in += 1;
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
     use crate::greedy::Greedy;
     use crate::verify::{is_independent_set, is_maximal_independent_set};
     use mis_gen::figures;
@@ -475,7 +151,8 @@ mod tests {
     #[test]
     fn figure5_verbatim_config_stalls() {
         // Without N re-promotion the cascade cannot proceed past round 1 —
-        // this is why `repromote_n` defaults to true (DESIGN.md §5).
+        // this is why `repromote_n` defaults to true (see the
+        // deviations in the swap driver's module docs).
         let ex = figures::figure5();
         let out = run_figure(&ex, SwapConfig::verbatim());
         let swap_rounds = out
@@ -589,24 +266,5 @@ mod tests {
         let out = OneKSwap::new().run_paged(&scan, Some(&scan), &greedy.set);
         assert_eq!(out.stats.paged_rounds, 0);
         assert_eq!(out.result.memory.pager_bytes, 0);
-    }
-
-    #[test]
-    fn select_paged_candidates_respects_threshold_and_order() {
-        let state = vec![S::A, S::N, S::A, S::I, S::A];
-        let g = CsrGraph::empty(5);
-        // Reverse storage order via OrderedCsr: ranks are 4,3,2,1,0.
-        let ordered = OrderedCsr::new(&g, vec![4, 3, 2, 1, 0]);
-        let access: &dyn mis_graph::NeighborAccess = &ordered;
-        // No provider or zero threshold: scan fallback.
-        assert!(select_paged_candidates(None, 1.0, &state).is_none());
-        assert!(select_paged_candidates(Some(access), 0.0, &state).is_none());
-        // Three A vertices over a 2-candidate budget (0.5 * 5): fallback.
-        assert!(select_paged_candidates(Some(access), 0.5, &state).is_none());
-        // Budget fits: candidates come back in storage (reverse-id) order.
-        assert_eq!(
-            select_paged_candidates(Some(access), 1.0, &state),
-            Some(vec![4, 2, 0])
-        );
     }
 }

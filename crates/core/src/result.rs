@@ -59,15 +59,16 @@ pub struct SwapConfig {
     /// (`None` = run to fixpoint, bounded by the `|V|`-round worst case).
     /// Table 8's "early stop" rows use `Some(1..=3)`.
     pub max_rounds: Option<u32>,
-    /// Re-promote plain `N` vertices to `A` in the post-swap phase when
-    /// they have the right number of IS neighbours.
+    /// Re-promote plain `N` vertices to `A` in one-k-swap's post-swap
+    /// phase when they have exactly one IS neighbour.
     ///
-    /// Algorithm 2's pseudo-code re-evaluates only `C`/`A` vertices, but
-    /// the paper's own Figure 5 cascade requires `N` vertices to become
-    /// swappable in later rounds (and Algorithm 3 does re-evaluate `N`),
-    /// so this defaults to `true`; setting it `false` reproduces the
-    /// pseudo-code verbatim (see DESIGN.md §5 and the `repro ablation`
-    /// bench).
+    /// Only [`OneKSwap`](crate::OneKSwap) reads this. Algorithm 2's
+    /// pseudo-code re-evaluates only `C`/`A` vertices, but the paper's own
+    /// Figure 5 cascade requires `N` vertices to become swappable in later
+    /// rounds, so this defaults to `true`; setting it `false` reproduces
+    /// the pseudo-code verbatim (see the `repro ablation` bench).
+    /// [`TwoKSwap`](crate::TwoKSwap) follows Algorithm 3, which always
+    /// re-derives `N`, and ignores the flag.
     pub repromote_n: bool,
     /// Append one relaxed 0↔1 pass at the end so the returned set is
     /// always maximal (never removes vertices; costs one extra scan).

@@ -8,35 +8,24 @@
 //! verified non-adjacent candidate pairs, and a *2-3 swap skeleton*
 //! (Definition 3) fires when a third compatible vertex arrives.
 //!
-//! ## Soundness under sequential scanning
-//!
-//! A fired skeleton involves two vertices whose records were scanned
-//! *earlier* (`a, b` of the stored pair) — their current neighbourhoods
-//! are no longer in memory, so marking them `P` directly could put two
-//! adjacent vertices into the set (if some vertex adjacent to `a` was
-//! protected after `a`'s record passed). Instead this implementation
-//! **nominates** them: they are conflicted out of further candidacy for
-//! the round (`C` + a nomination flag) and join during the post-swap scan
-//! — where their full neighbour list is back in memory — iff they still
-//! have no IS neighbour. In the normal case this completes the paper's
-//! 2↔k swap exactly (see the Figure 7 regression test); in the rare
-//! interleaving where a nominee got blocked the round could shrink the
-//! set, which is caught by a snapshot/rollback guard. DESIGN.md §5
-//! documents this deviation.
+//! The rounds are the shared swap-round driver's
+//! (`crates/core/src/swap.rs`); this module adds the second ISN slot, the
+//! SC sets, and the nomination of a fired skeleton's earlier-scanned pair
+//! with its snapshot/rollback shrink guard. The driver's module docs
+//! explain why a fired pair is nominated rather than protected.
 
 use mis_graph::hash::{FxHashMap, FxHashSet};
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
-use crate::engine;
-use crate::onek::{finalize_maximal, select_paged_candidates, InitCandidates, NONE, S};
-use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
+use crate::result::{MemoryModel, RoundStats, SwapConfig, SwapOutcome};
+use crate::swap::{self, Move, Vertices, NONE, S};
 
 /// Cap on stored candidate pairs per `(w1, w2)` entry. One valid pair is
 /// enough to fire a skeleton; keeping a few tolerates pairs whose members
 /// are adjacent to (or conflicted away from) a later third vertex, while
 /// bounding SC memory. Figure 10's `|SC|` counts the distinct vertices
 /// held in SC entries — registered fulls plus pair members — per round
-/// (the paper's Lemma 6 metric), tracked via [`Run::mark_sc`].
+/// (the paper's Lemma 6 metric), tracked via [`ScMarks::mark`].
 const PAIR_CAP: usize = 16;
 
 /// Per-IS-pair swap-candidate entry.
@@ -48,46 +37,63 @@ struct ScEntry {
     fulls: Vec<u32>,
 }
 
+/// One round's SC sets, dropped after the candidate pass.
+#[derive(Default)]
+struct Sc {
+    entries: FxHashMap<(u32, u32), ScEntry>,
+    /// Scanned singleton `A` vertices ("halves") by IS neighbour.
+    halves: FxHashMap<u32, Vec<u32>>,
+    /// The keys containing each IS vertex.
+    keys_by_w: FxHashMap<u32, Vec<(u32, u32)>>,
+    /// Registered halves and fulls, for the memory model.
+    vertices: u64,
+    /// Stored pairs, for the memory model.
+    pairs: u64,
+    /// The current record's neighbours.
+    nbr_set: FxHashSet<u32>,
+}
+
+/// Distinct vertices held in SC pairs per round (Figure 10 counts
+/// *distinct vertices held in SC sets*, the paper's Lemma 6 metric).
+struct ScMarks {
+    /// Round epoch in which each vertex last entered a stored SC pair.
+    epoch_of: Vec<u32>,
+    /// Current round epoch.
+    epoch: u32,
+    /// Distinct vertices in SC pairs this round.
+    distinct: u64,
+}
+
+impl ScMarks {
+    /// Records `v` as a member of a stored SC pair this round.
+    fn mark(&mut self, v: u32) {
+        if self.epoch_of[v as usize] != self.epoch {
+            self.epoch_of[v as usize] = self.epoch;
+            self.distinct += 1;
+        }
+    }
+}
+
 /// The two-k-swap algorithm (Algorithms 3 and 4).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TwoKSwap {
     config: SwapConfig,
 }
 
-/// Scratch state for one run.
-struct Run {
-    state: Vec<S>,
-    /// First IS neighbour (for `A`), or dependant count (for `I`), or
-    /// `NONE`.
-    isn1: Vec<u32>,
-    /// Second IS neighbour (for `A` with two IS neighbours), else `NONE`.
-    isn2: Vec<u32>,
+/// Two-k's state beyond the driver's, for one run.
+struct TwoK {
     /// Nominated-to-join flags for the current round.
     nominated: Vec<bool>,
-    /// Round epoch in which each vertex last entered a stored SC pair
-    /// (Figure 10 counts *distinct vertices held in SC sets*, the paper's
-    /// Lemma 6 metric).
-    sc_epoch: Vec<u32>,
-    /// Current round epoch.
-    epoch: u32,
-    /// Distinct vertices in SC pairs this round.
-    sc_distinct: u64,
-}
-
-impl Run {
-    /// Records `v` as a member of a stored SC pair this round.
-    fn mark_sc(&mut self, v: u32) {
-        if self.sc_epoch[v as usize] != self.epoch {
-            self.sc_epoch[v as usize] = self.epoch;
-            self.sc_distinct += 1;
-        }
-    }
-}
-
-impl Run {
-    fn is_singleton_a(&self, v: u32) -> bool {
-        self.state[v as usize] == S::A && self.isn2[v as usize] == NONE
-    }
+    marks: ScMarks,
+    sc: Sc,
+    /// Peak bytes held in SC sets.
+    sc_peak_bytes: u64,
+    /// Round-start state for the shrink guard.
+    snapshot: Vertices,
+    /// Records already passed by the post-swap scan; needed so a nominee
+    /// joining mid-scan can repair the ISN state of *earlier* neighbours
+    /// (later records re-derive their state anyway).
+    seen: Vec<bool>,
 }
 
 impl TwoKSwap {
@@ -124,400 +130,181 @@ impl TwoKSwap {
         initial: &[VertexId],
     ) -> SwapOutcome {
         let n = graph.num_vertices();
-        let mut run = Run {
-            state: vec![S::N; n],
-            isn1: vec![NONE; n],
-            isn2: vec![NONE; n],
+        let two = TwoK {
             nominated: vec![false; n],
-            sc_epoch: vec![0; n],
-            epoch: 0,
-            sc_distinct: 0,
-        };
-        for &v in initial {
-            run.state[v as usize] = S::I;
-            run.isn1[v as usize] = 0;
-        }
-        let mut file_scans: u64 = 0;
-        let executor = self.config.executor;
-
-        // Lines 1–3: initial A states (one or two IS neighbours); one
-        // mergeable engine pass against the frozen I membership.
-        file_scans += 1;
-        let assignments = executor
-            .run_pass(graph, &InitCandidates::new(&run.state, 2))
-            .expect("scan failed");
-        for (v, w1, w2) in assignments {
-            run.state[v as usize] = S::A;
-            run.isn1[v as usize] = w1;
-            if w2 == NONE {
-                run.isn1[w1 as usize] += 1;
-            } else {
-                run.isn2[v as usize] = w2;
-            }
-        }
-
-        let mut stats = SwapStats {
-            initial_size: initial.len() as u64,
-            ..SwapStats::default()
-        };
-        let round_cap = self
-            .config
-            .max_rounds
-            .map(|r| r as usize)
-            .unwrap_or_else(|| n.max(16));
-        let mut stagnant_rounds = 0u32;
-        let mut sc_peak_bytes: u64 = 0;
-        let mut current_size = initial.len() as u64;
-
-        let mut can_swap = true;
-        while can_swap && stats.rounds.len() < round_cap {
-            can_swap = false;
-            let mut round = RoundStats::default();
-            run.epoch = run.epoch.wrapping_add(1);
-            run.sc_distinct = 0;
-
-            // Snapshot for the shrink guard (O(|V|) memory, allowed).
-            let snapshot: Option<(Vec<S>, Vec<u32>, Vec<u32>)> =
-                Some((run.state.clone(), run.isn1.clone(), run.isn2.clone()));
-
-            // ---- Pre-swap pass (Algorithm 4 per A vertex): one full
-            // scan, or paged candidate verification when few candidates
-            // are live. ----
-            let cands = select_paged_candidates(access, self.config.paged_threshold, &run.state);
-            let mut sc: FxHashMap<(u32, u32), ScEntry> = FxHashMap::default();
-            let mut half_index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-            let mut keys_by_w: FxHashMap<u32, Vec<(u32, u32)>> = FxHashMap::default();
-            let mut sc_vertices: u64 = 0;
-            let mut sc_pairs: u64 = 0;
-            let mut nbr_set: FxHashSet<u32> = FxHashSet::default();
-
-            let rs = &mut run;
-            let mut pre_body = |u: VertexId, ns: &[VertexId]| {
-                if rs.state[u as usize] != S::A {
-                    return;
-                }
-                // Case (i): conflict with an already-protected vertex.
-                if ns.iter().any(|&nb| rs.state[nb as usize] == S::P) {
-                    to_conflicted(rs, u);
-                    return;
-                }
-                let w1 = rs.isn1[u as usize];
-                let w2 = rs.isn2[u as usize];
-                nbr_set.clear();
-                nbr_set.extend(ns.iter().copied());
-
-                if w2 == NONE {
-                    // Singleton A vertex (one IS neighbour w1).
-                    match rs.state[w1 as usize] {
-                        S::R => {
-                            // Case (iv): all IS neighbours retreating.
-                            rs.state[u as usize] = S::P;
-                        }
-                        S::I => {
-                            // 1-2 skeleton via the ISN count trick.
-                            let y = rs.isn1[w1 as usize];
-                            let x = ns
-                                .iter()
-                                .filter(|&&nb| rs.is_singleton_a(nb) && rs.isn1[nb as usize] == w1)
-                                .count() as u32;
-                            if y >= x + 2 {
-                                rs.state[u as usize] = S::P;
-                                rs.state[w1 as usize] = S::R;
-                                return;
-                            }
-                            // 2-3 skeleton as the third vertex of any
-                            // key containing w1.
-                            if let Some(keys) = keys_by_w.get(&w1) {
-                                for &key in keys {
-                                    if rs.state[key.0 as usize] != S::I
-                                        || rs.state[key.1 as usize] != S::I
-                                    {
-                                        continue;
-                                    }
-                                    if let Some(entry) = sc.get(&key) {
-                                        if fire_if_pair_found(rs, entry, u, &nbr_set, key) {
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                            // Pair up with scanned fulls of keys
-                            // containing w1, then register as a half.
-                            if let Some(keys) = keys_by_w.get(&w1) {
-                                for key in keys.clone() {
-                                    if rs.state[key.0 as usize] != S::I
-                                        || rs.state[key.1 as usize] != S::I
-                                    {
-                                        continue;
-                                    }
-                                    if let Some(entry) = sc.get_mut(&key) {
-                                        add_pairs_with_fulls(rs, entry, u, &nbr_set, &mut sc_pairs);
-                                    }
-                                }
-                            }
-                            half_index.entry(w1).or_default().push(u);
-                            sc_vertices += 1;
-                        }
-                        _ => {}
-                    }
-                } else {
-                    // Full A vertex: ISN = {w1, w2}.
-                    let s1 = rs.state[w1 as usize];
-                    let s2 = rs.state[w2 as usize];
-                    if s1 == S::R && s2 == S::R {
-                        rs.state[u as usize] = S::P; // case (iv)
-                        return;
-                    }
-                    if s1 != S::I || s2 != S::I {
-                        return; // one neighbour stays: u cannot move yet
-                    }
-                    let key = (w1.min(w2), w1.max(w2));
-                    if let Some(entry) = sc.get(&key) {
-                        if fire_if_pair_found(rs, entry, u, &nbr_set, key) {
-                            return;
-                        }
-                    }
-                    // Register u as a full and pair it with previously
-                    // scanned compatible candidates.
-                    let fresh = !sc.contains_key(&key);
-                    let entry = sc.entry(key).or_default();
-                    if fresh {
-                        keys_by_w.entry(key.0).or_default().push(key);
-                        keys_by_w.entry(key.1).or_default().push(key);
-                    }
-                    // Halves of w1 and w2 …
-                    for w in [key.0, key.1] {
-                        if let Some(halves) = half_index.get(&w) {
-                            for &h in halves {
-                                if entry.pairs.len() >= PAIR_CAP {
-                                    break;
-                                }
-                                if rs.is_singleton_a(h) && !nbr_set.contains(&h) {
-                                    entry.pairs.push((u, h));
-                                    sc_pairs += 1;
-                                    rs.mark_sc(u);
-                                    rs.mark_sc(h);
-                                }
-                            }
-                        }
-                    }
-                    // … and other fulls of the same key.
-                    add_pairs_with_fulls(rs, entry, u, &nbr_set, &mut sc_pairs);
-                    entry.fulls.push(u);
-                    rs.mark_sc(u);
-                    sc_vertices += 1;
-                }
-            };
-            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body) {
-                stats.paged_rounds += 1;
-            } else {
-                file_scans += 1;
-            }
-
-            round.sc_peak_vertices = run.sc_distinct;
-            stats.sc_peak_vertices = stats.sc_peak_vertices.max(run.sc_distinct);
-            sc_peak_bytes = sc_peak_bytes.max(4 * sc_vertices + 8 * sc_pairs);
-            drop(sc);
-            drop(half_index);
-            drop(keys_by_w);
-
-            // ---- Swap phase (in memory). ----
-            for v in 0..n {
-                match run.state[v] {
-                    S::P => {
-                        run.state[v] = S::I;
-                        run.isn1[v] = 0;
-                        run.isn2[v] = NONE;
-                        round.swapped_in += 1;
-                    }
-                    S::R => {
-                        run.state[v] = S::N;
-                        run.isn1[v] = NONE;
-                        run.isn2[v] = NONE;
-                        round.swapped_out += 1;
-                        can_swap = true;
-                    }
-                    _ => {}
-                }
-            }
-
-            // Reset dependant counts before re-deriving A states.
-            for v in 0..n {
-                if run.state[v] == S::I {
-                    run.isn1[v] = 0;
-                }
-            }
-
-            // ---- Post-swap scan (Algorithm 3 lines 15–23);
-            // order-dependent (nominee joins and 0↔1 promotions are
-            // visible to later records), so it runs through the
-            // engine's ordered fold. ----
-            file_scans += 1;
-            let rs = &mut run;
-            let round_ref = &mut round;
-            // Records already passed by this scan; needed so a nominee
-            // joining mid-scan can repair the ISN state of *earlier*
-            // neighbours (later records re-derive their state anyway).
-            let mut seen = vec![false; n];
-            executor
-                .fold_ordered(graph, &mut |u, ns| {
-                    seen[u as usize] = true;
-                    let s = rs.state[u as usize];
-                    if s == S::I {
-                        return;
-                    }
-                    // Nominated vertices complete their 2↔k swap here,
-                    // with the full neighbour list in memory.
-                    if rs.nominated[u as usize]
-                        && ns.iter().all(|&nb| rs.state[nb as usize] != S::I)
-                    {
-                        rs.state[u as usize] = S::I;
-                        rs.isn1[u as usize] = 0;
-                        rs.isn2[u as usize] = NONE;
-                        rs.nominated[u as usize] = false;
-                        round_ref.swapped_in += 1;
-                        // Repair neighbours whose A state was derived
-                        // before this join: u is now one of their IS
-                        // neighbours. Without this, an earlier-scanned
-                        // vertex could fire a 1-2 swap next round while
-                        // secretly adjacent to u — breaking independence.
-                        for &nb in ns {
-                            if !seen[nb as usize] || rs.state[nb as usize] != S::A {
-                                continue;
-                            }
-                            if rs.isn2[nb as usize] == NONE {
-                                // Singleton gains a second IS neighbour.
-                                let w = rs.isn1[nb as usize];
-                                if w != NONE && rs.state[w as usize] == S::I {
-                                    rs.isn1[w as usize] = rs.isn1[w as usize].saturating_sub(1);
-                                }
-                                rs.isn2[nb as usize] = u;
-                            } else {
-                                // Already two IS neighbours: now three.
-                                rs.state[nb as usize] = S::N;
-                                rs.isn1[nb as usize] = NONE;
-                                rs.isn2[nb as usize] = NONE;
-                            }
-                        }
-                        return;
-                    }
-                    rs.nominated[u as usize] = false;
-                    // Re-derive A / N / 0↔1 (Algorithm 3 re-evaluates C,
-                    // A and N alike).
-                    let mut count = 0u32;
-                    let (mut w1, mut w2) = (NONE, NONE);
-                    let mut all_cn = true;
-                    for &nb in ns {
-                        match rs.state[nb as usize] {
-                            S::I => {
-                                count += 1;
-                                if w1 == NONE {
-                                    w1 = nb;
-                                } else if w2 == NONE {
-                                    w2 = nb;
-                                }
-                                all_cn = false;
-                            }
-                            S::C | S::N => {}
-                            _ => all_cn = false,
-                        }
-                    }
-                    match count {
-                        1 => {
-                            rs.state[u as usize] = S::A;
-                            rs.isn1[u as usize] = w1;
-                            rs.isn2[u as usize] = NONE;
-                            rs.isn1[w1 as usize] += 1;
-                        }
-                        2 => {
-                            rs.state[u as usize] = S::A;
-                            rs.isn1[u as usize] = w1;
-                            rs.isn2[u as usize] = w2;
-                        }
-                        _ => {
-                            rs.state[u as usize] = S::N;
-                            rs.isn1[u as usize] = NONE;
-                            rs.isn2[u as usize] = NONE;
-                            if count == 0 && all_cn {
-                                rs.state[u as usize] = S::I;
-                                rs.isn1[u as usize] = 0;
-                                round_ref.swapped_in += 1;
-                            }
-                        }
-                    }
-                })
-                .expect("scan failed");
-
-            // Shrink guard: a blocked nominee can make a round lose
-            // vertices; roll back and stop rather than return a smaller
-            // set.
-            let new_size = (current_size as i64 + round.net_gain()) as u64;
-            if new_size < current_size {
-                if let Some((s, i1, i2)) = snapshot {
-                    run.state = s;
-                    run.isn1 = i1;
-                    run.isn2 = i2;
-                }
-                break;
-            }
-            current_size = new_size;
-
-            if round.net_gain() <= 0 {
-                stagnant_rounds += 1;
-            } else {
-                stagnant_rounds = 0;
-            }
-            stats.rounds.push(round);
-            if stagnant_rounds >= 3 {
-                break;
-            }
-        }
-
-        if self.config.finalize_maximal {
-            file_scans += 1;
-            finalize_maximal(graph, &mut run.state, &executor);
-        }
-
-        let set: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| run.state[v as usize] == S::I)
-            .collect();
-        stats.final_size = set.len() as u64;
-        SwapOutcome {
-            result: MisResult {
-                set,
-                file_scans,
-                memory: MemoryModel {
-                    state_bytes: n as u64,
-                    isn_bytes: 8 * n as u64,
-                    sc_peak_bytes,
-                    aux_bytes: n as u64, // nomination flags
-                    pager_bytes: if stats.paged_rounds > 0 {
-                        access.map_or(0, |a| a.resident_bytes())
-                    } else {
-                        0
-                    },
-                },
+            marks: ScMarks {
+                epoch_of: vec![0; n],
+                epoch: 0,
+                distinct: 0,
             },
-            stats,
-        }
+            sc: Sc::default(),
+            sc_peak_bytes: 0,
+            snapshot: Vertices::default(),
+            seen: Vec::new(),
+        };
+        swap::run(graph, access, initial, &self.config, two)
     }
 }
 
-/// Marks `u` conflicted and maintains the singleton dependant count.
-fn to_conflicted(run: &mut Run, u: u32) {
-    if run.isn2[u as usize] == NONE {
-        let w = run.isn1[u as usize];
-        if w != NONE && run.state[w as usize] == S::I {
-            run.isn1[w as usize] = run.isn1[w as usize].saturating_sub(1);
+impl Move for TwoK {
+    const SLOTS: u32 = 2;
+
+    fn begin_round(&mut self, vx: &Vertices) {
+        self.marks.epoch = self.marks.epoch.wrapping_add(1);
+        self.marks.distinct = 0;
+        self.snapshot = vx.clone();
+    }
+
+    /// Algorithm 4's 2-3 skeleton detection.
+    fn extend(&mut self, vx: &mut Vertices, u: VertexId, ns: &[VertexId]) {
+        let Self {
+            nominated,
+            marks,
+            sc,
+            ..
+        } = self;
+        let Sc {
+            entries,
+            halves,
+            keys_by_w,
+            vertices,
+            pairs,
+            nbr_set,
+        } = sc;
+        nbr_set.clear();
+        nbr_set.extend(ns.iter().copied());
+        let (w1, w2) = (vx.isn1[u as usize], vx.isn2[u as usize]);
+        let both_stay = |vx: &Vertices, key: (u32, u32)| {
+            vx.state[key.0 as usize] == S::I && vx.state[key.1 as usize] == S::I
+        };
+        if w2 == NONE {
+            // Singleton: the third vertex of any key containing w1 …
+            let keys = keys_by_w.get(&w1).map_or(&[][..], Vec::as_slice);
+            for &key in keys {
+                if both_stay(vx, key) {
+                    if let Some(entry) = entries.get(&key) {
+                        if fire_if_pair_found(vx, nominated, entry, u, nbr_set, key) {
+                            return;
+                        }
+                    }
+                }
+            }
+            // … else pair up with those keys' scanned fulls and register
+            // as a half.
+            for &key in keys {
+                if both_stay(vx, key) {
+                    if let Some(entry) = entries.get_mut(&key) {
+                        add_pairs_with_fulls(vx, marks, entry, u, nbr_set, pairs);
+                    }
+                }
+            }
+            halves.entry(w1).or_default().push(u);
+            *vertices += 1;
+            return;
+        }
+        // Full A vertex: ISN = {w1, w2}.
+        let key = (w1.min(w2), w1.max(w2));
+        if let Some(entry) = entries.get(&key) {
+            if fire_if_pair_found(vx, nominated, entry, u, nbr_set, key) {
+                return;
+            }
+        }
+        // Register u as a full and pair it with previously scanned
+        // compatible candidates: halves of w1 and w2, then the key's other
+        // fulls.
+        let entry = entries.entry(key).or_insert_with(|| {
+            keys_by_w.entry(key.0).or_default().push(key);
+            keys_by_w.entry(key.1).or_default().push(key);
+            ScEntry::default()
+        });
+        for w in [key.0, key.1] {
+            for &h in halves.get(&w).map_or(&[][..], Vec::as_slice) {
+                if entry.pairs.len() >= PAIR_CAP {
+                    break;
+                }
+                if vx.is_singleton_a(h) && !nbr_set.contains(&h) {
+                    entry.pairs.push((u, h));
+                    *pairs += 1;
+                    marks.mark(u);
+                    marks.mark(h);
+                }
+            }
+        }
+        add_pairs_with_fulls(vx, marks, entry, u, nbr_set, pairs);
+        entry.fulls.push(u);
+        marks.mark(u);
+        *vertices += 1;
+    }
+
+    fn end_candidates(&mut self) -> u64 {
+        let sc = std::mem::take(&mut self.sc);
+        self.sc_peak_bytes = self.sc_peak_bytes.max(4 * sc.vertices + 8 * sc.pairs);
+        self.seen = vec![false; self.nominated.len()];
+        self.marks.distinct
+    }
+
+    /// Nominated vertices complete their 2↔k swap here, with the full
+    /// neighbour list in memory.
+    fn post_swap(
+        &mut self,
+        vx: &mut Vertices,
+        u: VertexId,
+        ns: &[VertexId],
+        round: &mut RoundStats,
+    ) -> bool {
+        self.seen[u as usize] = true;
+        if !std::mem::take(&mut self.nominated[u as usize])
+            || ns.iter().any(|&nb| vx.state[nb as usize] == S::I)
+        {
+            return false;
+        }
+        vx.set(u, S::I, 0, NONE);
+        round.swapped_in += 1;
+        // Repair neighbours whose A state was derived before this join: u
+        // is now one of their IS neighbours. Without this, an
+        // earlier-scanned vertex could fire a 1-2 swap next round while
+        // secretly adjacent to u — breaking independence.
+        for &nb in ns {
+            if !self.seen[nb as usize] || vx.state[nb as usize] != S::A {
+                continue;
+            }
+            if vx.isn2[nb as usize] == NONE {
+                // Singleton gains a second IS neighbour.
+                vx.release(nb);
+                vx.isn2[nb as usize] = u;
+            } else {
+                // Already two IS neighbours: now three.
+                vx.set(nb, S::N, NONE, NONE);
+            }
+        }
+        true
+    }
+
+    /// Shrink guard: a blocked nominee can make a round lose vertices;
+    /// roll back and stop rather than return a smaller set.
+    fn end_round(&mut self, vx: &mut Vertices, shrank: bool) -> bool {
+        let snapshot = std::mem::take(&mut self.snapshot);
+        self.seen = Vec::new();
+        if shrank {
+            *vx = snapshot;
+        }
+        shrank
+    }
+
+    fn memory(&self, n: u64) -> MemoryModel {
+        MemoryModel {
+            sc_peak_bytes: self.sc_peak_bytes,
+            aux_bytes: n, // nomination flags
+            ..MemoryModel::default()
         }
     }
-    run.state[u as usize] = S::C;
 }
 
 /// Tries to complete a 2-3 swap skeleton with `u` as the third vertex.
 /// On success: `u → P`, the pair is nominated, `w1, w2 → R`.
 fn fire_if_pair_found(
-    run: &mut Run,
+    vx: &mut Vertices,
+    nominated: &mut [bool],
     entry: &ScEntry,
     u: u32,
     nbr_set: &FxHashSet<u32>,
@@ -527,20 +314,20 @@ fn fire_if_pair_found(
         if a == u || b == u {
             continue;
         }
-        if run.state[a as usize] == S::A
-            && run.state[b as usize] == S::A
+        if vx.state[a as usize] == S::A
+            && vx.state[b as usize] == S::A
             && !nbr_set.contains(&a)
             && !nbr_set.contains(&b)
         {
-            run.state[u as usize] = S::P;
+            vx.state[u as usize] = S::P;
             // Nominate the earlier-scanned pair: conflicted out of this
             // round's candidacy, joining at post-swap if still safe.
             for m in [a, b] {
-                to_conflicted(run, m);
-                run.nominated[m as usize] = true;
+                vx.conflict(m);
+                nominated[m as usize] = true;
             }
-            run.state[key.0 as usize] = S::R;
-            run.state[key.1 as usize] = S::R;
+            vx.state[key.0 as usize] = S::R;
+            vx.state[key.1 as usize] = S::R;
             return true;
         }
     }
@@ -550,22 +337,23 @@ fn fire_if_pair_found(
 /// Pairs `u` with previously scanned fulls of `entry` (mutual
 /// non-adjacency verified against `u`'s in-memory neighbour set).
 fn add_pairs_with_fulls(
-    run: &mut Run,
+    vx: &Vertices,
+    marks: &mut ScMarks,
     entry: &mut ScEntry,
     u: u32,
     nbr_set: &FxHashSet<u32>,
-    sc_pairs: &mut u64,
+    pairs: &mut u64,
 ) {
     for i in 0..entry.fulls.len() {
         if entry.pairs.len() >= PAIR_CAP {
             break;
         }
         let a = entry.fulls[i];
-        if a != u && run.state[a as usize] == S::A && !nbr_set.contains(&a) {
+        if a != u && vx.state[a as usize] == S::A && !nbr_set.contains(&a) {
             entry.pairs.push((a, u));
-            *sc_pairs += 1;
-            run.mark_sc(a);
-            run.mark_sc(u);
+            *pairs += 1;
+            marks.mark(a);
+            marks.mark(u);
         }
     }
 }
@@ -731,6 +519,24 @@ mod tests {
         );
         assert!(is_maximal_independent_set(&g, &out.result.set));
         assert!(out.result.set.len() >= greedy.set.len());
+    }
+
+    #[test]
+    fn shrink_guard_rolls_back_a_losing_round() {
+        // Found by search over G(n, m) graphs: round one's nominees get
+        // blocked, so the round would lose a vertex. The guard restores
+        // the round-start state and stops; the undone round's two scans
+        // and SC peak still count, its swap counts do not.
+        let g = mis_gen::er::gnm(16, 48, 727);
+        let sorted = OrderedCsr::degree_sorted(&g);
+        let greedy = Greedy::new().run(&sorted);
+        assert_eq!(greedy.set, vec![1, 2, 10, 11]);
+        let out = TwoKSwap::new().run(&sorted, &greedy.set);
+        assert_eq!(out.result.set, greedy.set);
+        assert_eq!(out.stats.num_rounds(), 0);
+        assert_eq!(out.stats.sc_peak_vertices, 3);
+        // init + candidate + post-swap + finalize.
+        assert_eq!(out.result.file_scans, 4);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! adjacency could not be recovered from the text, the graph below is the
 //! *minimal structure consistent with every statement made about the
 //! example* (initial states, skeletons found, conflicts raised, final
-//! independent set). DESIGN.md §3 tracks which test validates which claim.
+//! independent set). The `figure*` tests of `mis_core`'s `onek` and
+//! `twok` modules assert each example's narrated outcome.
 
 use mis_graph::{CsrGraph, VertexId};
 

@@ -70,6 +70,10 @@
 //!   `warmup`, `solve`, `verify`, …). The report's per-phase breakdown
 //!   and its coverage figure (`phase time / wall time`) come from
 //!   these.
+//! * cat `"pass"` — one span per scan pass of an algorithm (`greedy`,
+//!   `swap.init_candidates`, `swap.candidate`, `swap.post_swap`,
+//!   `swap.finalize`). The report's pass breakdown and its coverage
+//!   figure (`pass time / solve time`) come from these.
 //! * names `worker.wait` / `worker.decode` / `worker.fold` /
 //!   `worker.publish_wait` — per-worker timeline spans; the report
 //!   derives busy/wait/idle and utilization per thread from them.

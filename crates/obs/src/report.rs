@@ -10,7 +10,8 @@
 //!
 //! The aggregation understands the naming conventions documented at the
 //! crate root: cat `"phase"` spans form the phase breakdown and the
-//! coverage figure; `worker.*` spans form per-thread timelines split
+//! coverage figure; cat `"pass"` spans form the pass breakdown of the
+//! `solve` phase; `worker.*` spans form per-thread timelines split
 //! into busy (`worker.decode` plus `worker.fold`) and wait
 //! (`worker.wait` plus `worker.publish_wait`); `reader.handout` and
 //! `reorder.stall` attribute the remaining idle time.
@@ -374,7 +375,8 @@ fn event_from_json(line_no: usize, v: &Json) -> Result<PEvent, String> {
 // Aggregates
 // ---------------------------------------------------------------------
 
-/// Wall-time total of one named phase (cat `"phase"` spans).
+/// Wall-time total of one named phase (cat `"phase"` spans) or pass
+/// (cat `"pass"` spans).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseAgg {
     /// Phase name (`open`, `solve`, …), in first-seen order.
@@ -457,6 +459,8 @@ pub struct TraceReport {
     pub wall_us: f64,
     /// Per-phase wall-time totals (cat `"phase"`), first-seen order.
     pub phases: Vec<PhaseAgg>,
+    /// Per-pass wall-time totals (cat `"pass"`), first-seen order.
+    pub passes: Vec<PhaseAgg>,
     /// Per-worker timelines, ascending tid.
     pub workers: Vec<WorkerAgg>,
     /// Summed duration of `pass.parallel` + `pass.fold_ordered` spans.
@@ -552,6 +556,23 @@ impl TraceReport {
         }
     }
 
+    /// Fraction of the `solve` phase attributed to cat `"pass"` spans (0
+    /// when the trace has no `solve` phase).
+    pub fn pass_coverage(&self) -> f64 {
+        let solve: f64 = self
+            .phases
+            .iter()
+            .filter(|p| p.name == "solve")
+            .map(|p| p.total_us)
+            .sum();
+        if solve > 0.0 {
+            let total: f64 = self.passes.iter().map(|p| p.total_us).sum();
+            (total / solve).min(1.0)
+        } else {
+            0.0
+        }
+    }
+
     /// Aggregate worker utilization: total busy time over total
     /// timeline extent across all workers (0 when no workers traced).
     pub fn worker_utilization(&self) -> f64 {
@@ -600,6 +621,23 @@ impl TraceReport {
                 out,
                 "  coverage: {:.1}% of wall attributed to phases",
                 100.0 * self.phase_coverage()
+            );
+        }
+        if !self.passes.is_empty() {
+            let _ = writeln!(out, "\npass breakdown:");
+            for p in &self.passes {
+                let _ = writeln!(
+                    out,
+                    "  {:<20} {:>12}  x{}",
+                    p.name,
+                    fmt_us(p.total_us),
+                    p.count
+                );
+            }
+            let _ = writeln!(
+                out,
+                "  coverage: {:.1}% of solve attributed to passes",
+                100.0 * self.pass_coverage()
             );
         }
         if !self.workers.is_empty() {
@@ -688,26 +726,31 @@ impl TraceReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"num_events\":{},\"num_spans\":{},\"wall_us\":{},\"phase_coverage\":{}",
+            "{{\"num_events\":{},\"num_spans\":{},\"wall_us\":{},\"phase_coverage\":{},\
+             \"pass_coverage\":{}",
             self.num_events,
             self.num_spans,
             num(self.wall_us),
-            num(self.phase_coverage())
+            num(self.phase_coverage()),
+            num(self.pass_coverage())
         );
-        out.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        for (key, aggs) in [("phases", &self.phases), ("passes", &self.passes)] {
+            let _ = write!(out, ",\"{key}\":[");
+            for (i, p) in aggs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{}\",\"total_us\":{},\"count\":{}}}",
+                    escape_json(&p.name),
+                    num(p.total_us),
+                    p.count
+                );
             }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"total_us\":{},\"count\":{}}}",
-                escape_json(&p.name),
-                num(p.total_us),
-                p.count
-            );
+            out.push(']');
         }
-        out.push_str("],\"workers\":[");
+        out.push_str(",\"workers\":[");
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -825,13 +868,18 @@ fn build(events: Vec<PEvent>) -> TraceReport {
                 report.num_spans += 1;
                 min_start = min_start.min(e.ts_us);
                 max_end = max_end.max(e.ts_us + dur_us);
-                if e.cat == "phase" {
-                    match report.phases.iter_mut().find(|p| p.name == e.name) {
+                let aggs = match e.cat.as_str() {
+                    "phase" => Some(&mut report.phases),
+                    "pass" => Some(&mut report.passes),
+                    _ => None,
+                };
+                if let Some(aggs) = aggs {
+                    match aggs.iter_mut().find(|p| p.name == e.name) {
                         Some(p) => {
                             p.total_us += dur_us;
                             p.count += 1;
                         }
-                        None => report.phases.push(PhaseAgg {
+                        None => aggs.push(PhaseAgg {
                             name: e.name.clone(),
                             total_us: *dur_us,
                             count: 1,
@@ -1061,6 +1109,36 @@ mod tests {
         assert!(rendered.contains("phase breakdown"));
         assert!(rendered.contains("worker timelines"));
         assert!(rendered.contains("pager.fetch"));
+    }
+
+    #[test]
+    fn pass_spans_attribute_the_solve_phase() {
+        let trace = Trace {
+            events: vec![
+                span("phase", "solve", 1, 0, 10_000_000),
+                span("pass", "greedy", 1, 0, 2_000_000),
+                span("pass", "swap.candidate", 1, 2_000_000, 3_000_000),
+                span("pass", "swap.candidate", 1, 5_000_000, 4_000_000),
+            ],
+            hists: vec![],
+        };
+        let report = TraceReport::from_trace(&trace);
+        assert_eq!(report.phases.len(), 1);
+        assert_eq!(report.passes.len(), 2);
+        assert_eq!(report.passes[1].count, 2);
+        assert!((report.passes[1].total_us - 7_000.0).abs() < 1e-6);
+        assert!((report.pass_coverage() - 0.9).abs() < 1e-9);
+        assert!(report
+            .render()
+            .contains("90.0% of solve attributed to passes"));
+        let json = parse_json(&report.render_json()).expect("valid JSON");
+        assert_eq!(json.get("pass_coverage").unwrap().as_f64(), Some(0.9));
+        match json.get("passes") {
+            Some(Json::Arr(p)) => assert_eq!(p[0].get("name").unwrap().as_str(), Some("greedy")),
+            other => panic!("passes not an array: {other:?}"),
+        }
+        // Without a solve phase nothing is attributed.
+        assert_eq!(TraceReport::default().pass_coverage(), 0.0);
     }
 
     #[test]

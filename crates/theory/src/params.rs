@@ -10,7 +10,8 @@
 //!
 //! The paper's Eq. (2) prints `|E| = ζ(β−1,Δ)·e^α` — that quantity is the
 //! *degree sum*; we expose both [`PlrgParams::degree_sum`] and the halved
-//! [`PlrgParams::edges`] and note the factor in DESIGN.md.
+//! [`PlrgParams::edges`], so the factor of two is explicit at every call
+//! site.
 
 use crate::zeta::partial_zeta;
 

@@ -124,6 +124,7 @@ use mis_obs::{
     TraceReport, Workload,
 };
 use semi_mis::algo::peeling::peel_and_solve;
+use semi_mis::algo::SetProof;
 use semi_mis::extmem::{SortConfig, DEFAULT_BLOCK_SIZE};
 use semi_mis::graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, degree_sort_compressed_adj_file, edgelist,
@@ -1173,10 +1174,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             e.verdict("maximal", maximal);
         },
     )?;
-    if !independent {
-        return Err("result failed verification".into());
+    check_proof(&proof)
+}
+
+/// Every `--algo` promises a maximal independent set, so a result the
+/// proof scan finds dependent or not maximal is an error, not a report.
+fn check_proof(proof: &SetProof) -> Result<(), String> {
+    match (proof.independent, proof.maximal) {
+        (false, _) => Err("result failed verification: not an independent set".into()),
+        (true, false) => Err("result failed verification: not a maximal independent set".into()),
+        (true, true) => Ok(()),
     }
-    Ok(())
 }
 
 /// Derives the default WAL / checkpoint siblings of a base file.
@@ -2010,6 +2018,21 @@ mod tests {
         let cout = dir.file("e.cadj").display().to_string();
         dispatch(&strs(&["compress", &out.display().to_string(), &cout])).unwrap();
         dispatch(&strs(&["stats", &cout])).unwrap();
+    }
+
+    #[test]
+    fn run_fails_on_a_set_that_is_not_maximal_independent() {
+        let proof = |independent, maximal| SetProof {
+            independent,
+            maximal,
+        };
+        assert_eq!(check_proof(&proof(true, true)), Ok(()));
+        let err = check_proof(&proof(true, false)).unwrap_err();
+        assert!(err.contains("not a maximal independent set"), "{err}");
+        for maximal in [true, false] {
+            let err = check_proof(&proof(false, maximal)).unwrap_err();
+            assert!(err.contains("not an independent set"), "{err}");
+        }
     }
 
     #[test]
