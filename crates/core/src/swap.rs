@@ -48,6 +48,11 @@
 //!   Normally this completes the paper's 2↔k swap exactly (the Figure 7
 //!   trace test); when a nominee got blocked the round may lose vertices,
 //!   and a round-start snapshot rolls it back and stops the run.
+//! * **SC sets hold only keys that can fire.** Two-k does not store a
+//!   half or full that no later vertex of the round can read (see
+//!   `crates/core/src/twok.rs`). [`crate::MemoryModel::sc_peak_bytes`] and
+//!   [`SwapStats::sc_peak_vertices`] still report the paper's SC model —
+//!   every registration Algorithm 4 makes — not the smaller set stored.
 //! * **Finalisation.** With [`SwapConfig::finalize_maximal`] one relaxed
 //!   0↔1 pass at the end makes the result maximal even after an early
 //!   stop or a rollback; it never removes a vertex.
@@ -183,7 +188,7 @@ pub(crate) trait Move {
 
     /// Called after the candidate pass; returns the distinct vertices
     /// held in SC sets this round.
-    fn end_candidates(&mut self) -> u64 {
+    fn end_candidates(&mut self, _vx: &Vertices) -> u64 {
         0
     }
 
@@ -396,7 +401,7 @@ pub(crate) fn run<G: GraphScan + ?Sized, M: Move>(
                     file_scans += 1;
                 }
             }
-            round.sc_peak_vertices = mv.end_candidates();
+            round.sc_peak_vertices = mv.end_candidates(&vx);
         }
         stats.sc_peak_vertices = stats.sc_peak_vertices.max(round.sc_peak_vertices);
 

@@ -13,6 +13,21 @@
 //! SC sets, and the nomination of a fired skeleton's earlier-scanned pair
 //! with its snapshot/rollback shrink guard. The driver's module docs
 //! explain why a fired pair is nominated rather than protected.
+//!
+//! ## SC holds only keys that can fire
+//!
+//! Most SC registrations are never read: a half is read only by a full
+//! whose key contains its IS neighbour, and a full only by a half of one
+//! of its key's vertices or by another full with the same key. The
+//! candidate pass puts no vertex into `A` and changes no `A` vertex's ISN
+//! slots, so every half and full a round can register is an `A` vertex
+//! at round start. One in-memory sweep then flags, per IS vertex, whether
+//! a singleton points at it (`HAS_SINGLE`), whether it is in some full's
+//! key (`IN_KEY`) and whether it is in two or more (`MANY_FULLS`).
+//! A half whose IS neighbour is in no key, and a full whose key has no
+//! half and cannot have a second full, only count towards the Lemma 6
+//! metrics and are not stored. The filter is exact: a skipped entry is
+//! never looked up, so every outcome is the one the full SC sets give.
 
 use mis_graph::hash::{FxHashMap, FxHashSet};
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
@@ -36,6 +51,18 @@ struct ScEntry {
     /// Scanned `A` vertices with `ISN = {w1, w2}` (pair-element "fulls").
     fulls: Vec<u32>,
 }
+
+/// Per-vertex bit flags of `TwoK::flags`: nominated to join at
+/// post-swap.
+const NOMINATED: u8 = 1;
+/// Record already passed by the post-swap scan.
+const SEEN: u8 = 1 << 1;
+/// IS vertex with a singleton `A` vertex pointing at it at round start.
+const HAS_SINGLE: u8 = 1 << 2;
+/// IS vertex in the key of a full `A` vertex at round start.
+const IN_KEY: u8 = 1 << 3;
+/// IS vertex in the keys of two or more full `A` vertices at round start.
+const MANY_FULLS: u8 = 1 << 4;
 
 /// One round's SC sets, dropped after the candidate pass.
 #[derive(Default)]
@@ -82,18 +109,21 @@ pub struct TwoKSwap {
 
 /// Two-k's state beyond the driver's, for one run.
 struct TwoK {
-    /// Nominated-to-join flags for the current round.
-    nominated: Vec<bool>,
+    /// Per-vertex bit flags: `NOMINATED`, `SEEN` (needed so a nominee
+    /// joining mid-scan can repair the ISN state of *earlier* neighbours;
+    /// later records re-derive their state anyway) and the round-start key
+    /// filter `HAS_SINGLE`, `IN_KEY`, `MANY_FULLS`.
+    flags: Vec<u8>,
     marks: ScMarks,
     sc: Sc,
     /// Peak bytes held in SC sets.
     sc_peak_bytes: u64,
+    /// Halves and fulls stored in SC sets, over the run.
+    sc_registered: u64,
+    /// Halves and fulls the key filter did not store, over the run.
+    sc_skipped: u64,
     /// Round-start state for the shrink guard.
     snapshot: Vertices,
-    /// Records already passed by the post-swap scan; needed so a nominee
-    /// joining mid-scan can repair the ISN state of *earlier* neighbours
-    /// (later records re-derive their state anyway).
-    seen: Vec<bool>,
 }
 
 impl TwoKSwap {
@@ -131,7 +161,7 @@ impl TwoKSwap {
     ) -> SwapOutcome {
         let n = graph.num_vertices();
         let two = TwoK {
-            nominated: vec![false; n],
+            flags: vec![0; n],
             marks: ScMarks {
                 epoch_of: vec![0; n],
                 epoch: 0,
@@ -139,8 +169,9 @@ impl TwoKSwap {
             },
             sc: Sc::default(),
             sc_peak_bytes: 0,
+            sc_registered: 0,
+            sc_skipped: 0,
             snapshot: Vertices::default(),
-            seen: Vec::new(),
         };
         swap::run(graph, access, initial, &self.config, two)
     }
@@ -149,20 +180,62 @@ impl TwoKSwap {
 impl Move for TwoK {
     const SLOTS: u32 = 2;
 
+    /// Snapshots the round start and sweeps the key filter's flags.
     fn begin_round(&mut self, vx: &Vertices) {
         self.marks.epoch = self.marks.epoch.wrapping_add(1);
         self.marks.distinct = 0;
         self.snapshot = vx.clone();
+        let flags = &mut self.flags;
+        for f in flags.iter_mut() {
+            *f &= NOMINATED;
+        }
+        for v in 0..vx.state.len() {
+            if vx.state[v] != S::A {
+                continue;
+            }
+            let (w1, w2) = (vx.isn1[v], vx.isn2[v]);
+            if w2 == NONE {
+                flags[w1 as usize] |= HAS_SINGLE;
+                continue;
+            }
+            for w in [w1, w2] {
+                let f = &mut flags[w as usize];
+                *f |= if *f & IN_KEY != 0 { MANY_FULLS } else { IN_KEY };
+            }
+        }
     }
 
     /// Algorithm 4's 2-3 skeleton detection.
     fn extend(&mut self, vx: &mut Vertices, u: VertexId, ns: &[VertexId]) {
         let Self {
-            nominated,
+            flags,
             marks,
             sc,
+            sc_registered,
+            sc_skipped,
             ..
         } = self;
+        let (w1, w2) = (vx.isn1[u as usize], vx.isn2[u as usize]);
+        let flag = |w: u32, bit: u8| flags[w as usize] & bit != 0;
+        // The key filter: a half whose IS neighbour is in no full's key,
+        // or a full whose key has no half and at most one full, is never
+        // read. It still counts towards the SC metrics.
+        let read = if w2 == NONE {
+            flag(w1, IN_KEY)
+        } else {
+            flag(w1, HAS_SINGLE)
+                || flag(w2, HAS_SINGLE)
+                || (flag(w1, MANY_FULLS) && flag(w2, MANY_FULLS))
+        };
+        if !read {
+            if w2 != NONE {
+                marks.mark(u);
+            }
+            sc.vertices += 1;
+            *sc_skipped += 1;
+            return;
+        }
+        *sc_registered += 1;
         let Sc {
             entries,
             halves,
@@ -170,10 +243,10 @@ impl Move for TwoK {
             vertices,
             pairs,
             nbr_set,
+            ..
         } = sc;
         nbr_set.clear();
         nbr_set.extend(ns.iter().copied());
-        let (w1, w2) = (vx.isn1[u as usize], vx.isn2[u as usize]);
         let both_stay = |vx: &Vertices, key: (u32, u32)| {
             vx.state[key.0 as usize] == S::I && vx.state[key.1 as usize] == S::I
         };
@@ -183,7 +256,7 @@ impl Move for TwoK {
             for &key in keys {
                 if both_stay(vx, key) {
                     if let Some(entry) = entries.get(&key) {
-                        if fire_if_pair_found(vx, nominated, entry, u, nbr_set, key) {
+                        if fire_if_pair_found(vx, flags, entry, u, nbr_set, key) {
                             return;
                         }
                     }
@@ -205,7 +278,7 @@ impl Move for TwoK {
         // Full A vertex: ISN = {w1, w2}.
         let key = (w1.min(w2), w1.max(w2));
         if let Some(entry) = entries.get(&key) {
-            if fire_if_pair_found(vx, nominated, entry, u, nbr_set, key) {
+            if fire_if_pair_found(vx, flags, entry, u, nbr_set, key) {
                 return;
             }
         }
@@ -236,10 +309,21 @@ impl Move for TwoK {
         *vertices += 1;
     }
 
-    fn end_candidates(&mut self) -> u64 {
+    fn end_candidates(&mut self, vx: &Vertices) -> u64 {
+        // The key filter's premise: the pass added no `A` vertex and moved
+        // no `A` vertex's ISN slots.
+        debug_assert!(
+            (0..vx.state.len()).all(|v| vx.state[v] != S::A
+                || (self.snapshot.state[v] == S::A
+                    && self.snapshot.isn1[v] == vx.isn1[v]
+                    && self.snapshot.isn2[v] == vx.isn2[v])),
+            "the candidate pass changed an A vertex's keys"
+        );
+        // Running totals, one sample per candidate pass.
+        mis_obs::counter("pass", "twok.sc_registered", self.sc_registered as f64);
+        mis_obs::counter("pass", "twok.sc_skipped", self.sc_skipped as f64);
         let sc = std::mem::take(&mut self.sc);
         self.sc_peak_bytes = self.sc_peak_bytes.max(4 * sc.vertices + 8 * sc.pairs);
-        self.seen = vec![false; self.nominated.len()];
         self.marks.distinct
     }
 
@@ -252,10 +336,10 @@ impl Move for TwoK {
         ns: &[VertexId],
         round: &mut RoundStats,
     ) -> bool {
-        self.seen[u as usize] = true;
-        if !std::mem::take(&mut self.nominated[u as usize])
-            || ns.iter().any(|&nb| vx.state[nb as usize] == S::I)
-        {
+        let flags = &mut self.flags;
+        let nominated = flags[u as usize] & NOMINATED != 0;
+        flags[u as usize] = (flags[u as usize] & !NOMINATED) | SEEN;
+        if !nominated || ns.iter().any(|&nb| vx.state[nb as usize] == S::I) {
             return false;
         }
         vx.set(u, S::I, 0, NONE);
@@ -265,7 +349,7 @@ impl Move for TwoK {
         // earlier-scanned vertex could fire a 1-2 swap next round while
         // secretly adjacent to u — breaking independence.
         for &nb in ns {
-            if !self.seen[nb as usize] || vx.state[nb as usize] != S::A {
+            if flags[nb as usize] & SEEN == 0 || vx.state[nb as usize] != S::A {
                 continue;
             }
             if vx.isn2[nb as usize] == NONE {
@@ -284,7 +368,6 @@ impl Move for TwoK {
     /// roll back and stop rather than return a smaller set.
     fn end_round(&mut self, vx: &mut Vertices, shrank: bool) -> bool {
         let snapshot = std::mem::take(&mut self.snapshot);
-        self.seen = Vec::new();
         if shrank {
             *vx = snapshot;
         }
@@ -294,7 +377,7 @@ impl Move for TwoK {
     fn memory(&self, n: u64) -> MemoryModel {
         MemoryModel {
             sc_peak_bytes: self.sc_peak_bytes,
-            aux_bytes: n, // nomination flags
+            aux_bytes: n, // per-vertex flags
             ..MemoryModel::default()
         }
     }
@@ -304,7 +387,7 @@ impl Move for TwoK {
 /// On success: `u → P`, the pair is nominated, `w1, w2 → R`.
 fn fire_if_pair_found(
     vx: &mut Vertices,
-    nominated: &mut [bool],
+    flags: &mut [u8],
     entry: &ScEntry,
     u: u32,
     nbr_set: &FxHashSet<u32>,
@@ -324,7 +407,7 @@ fn fire_if_pair_found(
             // round's candidacy, joining at post-swap if still safe.
             for m in [a, b] {
                 vx.conflict(m);
-                nominated[m as usize] = true;
+                flags[m as usize] |= NOMINATED;
             }
             vx.state[key.0 as usize] = S::R;
             vx.state[key.1 as usize] = S::R;

@@ -80,6 +80,7 @@ pub fn prove_maximal_with<G: GraphScan + ?Sized>(
     set: &[VertexId],
     executor: &Executor,
 ) -> SetProof {
+    let _span = mis_obs::span("pass", "proof");
     let member = membership(graph.num_vertices(), set);
     executor
         .run_pass(graph, &ProofPass { member: &member })

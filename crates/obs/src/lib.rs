@@ -72,8 +72,9 @@
 //!   these.
 //! * cat `"pass"` — one span per scan pass of an algorithm (`greedy`,
 //!   `swap.init_candidates`, `swap.candidate`, `swap.post_swap`,
-//!   `swap.finalize`). The report's pass breakdown and its coverage
-//!   figure (`pass time / solve time`) come from these.
+//!   `swap.finalize`, `proof`). The report's pass breakdown comes from
+//!   these, and its coverage figure (`pass time / solve time`) from the
+//!   ones inside a `solve` span.
 //! * names `worker.wait` / `worker.decode` / `worker.fold` /
 //!   `worker.publish_wait` — per-worker timeline spans; the report
 //!   derives busy/wait/idle and utilization per thread from them.

@@ -461,6 +461,11 @@ pub struct TraceReport {
     pub phases: Vec<PhaseAgg>,
     /// Per-pass wall-time totals (cat `"pass"`), first-seen order.
     pub passes: Vec<PhaseAgg>,
+    /// Summed duration of the cat `"pass"` spans that lie inside a
+    /// `solve` phase span on the same thread, microseconds. A pass run
+    /// outside `solve` (the `proof` of a `verify` phase) is in `passes`
+    /// but not here.
+    pub solve_pass_us: f64,
     /// Per-worker timelines, ascending tid.
     pub workers: Vec<WorkerAgg>,
     /// Summed duration of `pass.parallel` + `pass.fold_ordered` spans.
@@ -556,8 +561,8 @@ impl TraceReport {
         }
     }
 
-    /// Fraction of the `solve` phase attributed to cat `"pass"` spans (0
-    /// when the trace has no `solve` phase).
+    /// Fraction of the `solve` phase attributed to the cat `"pass"` spans
+    /// inside it (0 when the trace has no `solve` phase).
     pub fn pass_coverage(&self) -> f64 {
         let solve: f64 = self
             .phases
@@ -566,8 +571,7 @@ impl TraceReport {
             .map(|p| p.total_us)
             .sum();
         if solve > 0.0 {
-            let total: f64 = self.passes.iter().map(|p| p.total_us).sum();
-            (total / solve).min(1.0)
+            (self.solve_pass_us / solve).min(1.0)
         } else {
             0.0
         }
@@ -926,6 +930,7 @@ fn build(events: Vec<PEvent>) -> TraceReport {
     if report.num_spans > 0 {
         report.wall_us = (max_end - min_start).max(0.0);
     }
+    report.solve_pass_us = solve_pass_us(&events);
 
     // Per-worker timelines from worker.* spans.
     let mut tids: Vec<u64> = events
@@ -971,6 +976,33 @@ fn build(events: Vec<PEvent>) -> TraceReport {
 
     report.nesting_violations = check_nesting(&events);
     report
+}
+
+/// Summed duration of the cat `"pass"` spans contained in a `solve` phase
+/// span of the same thread.
+fn solve_pass_us(events: &[PEvent]) -> f64 {
+    let span = |e: &PEvent| match e.kind {
+        PKind::Span { dur_us } => Some((e.tid, e.ts_us, e.ts_us + dur_us)),
+        _ => None,
+    };
+    let solves: Vec<(u64, f64, f64)> = events
+        .iter()
+        .filter(|e| e.cat == "phase" && e.name == "solve")
+        .filter_map(span)
+        .collect();
+    // Slack for the microsecond rounding of exported timestamps.
+    const EPS_US: f64 = 1e-3;
+    events
+        .iter()
+        .filter(|e| e.cat == "pass")
+        .filter_map(span)
+        .filter(|&(tid, start, end)| {
+            solves
+                .iter()
+                .any(|&(t, s, e)| t == tid && start >= s - EPS_US && end <= e + EPS_US)
+        })
+        .map(|(_, start, end)| end - start)
+        .sum()
 }
 
 /// Spans on one thread must nest: two spans either don't overlap or one
@@ -1139,6 +1171,26 @@ mod tests {
         }
         // Without a solve phase nothing is attributed.
         assert_eq!(TraceReport::default().pass_coverage(), 0.0);
+    }
+
+    #[test]
+    fn passes_outside_solve_are_not_attributed_to_it() {
+        let trace = Trace {
+            events: vec![
+                span("phase", "solve", 1, 0, 10_000_000),
+                span("pass", "greedy", 1, 0, 4_000_000),
+                span("phase", "verify", 1, 10_000_000, 5_000_000),
+                span("pass", "proof", 1, 10_000_000, 5_000_000),
+                // Inside solve's window, but on another thread.
+                span("pass", "greedy", 2, 4_000_000, 2_000_000),
+            ],
+            hists: vec![],
+        };
+        let report = TraceReport::from_trace(&trace);
+        assert_eq!(report.passes.len(), 2);
+        assert!((report.passes[1].total_us - 5_000.0).abs() < 1e-6);
+        assert!((report.solve_pass_us - 4_000.0).abs() < 1e-6);
+        assert!((report.pass_coverage() - 0.4).abs() < 1e-9);
     }
 
     #[test]

@@ -111,13 +111,12 @@ fn configs() -> Vec<(&'static str, SwapConfig, bool)> {
 }
 
 /// One hash per (algorithm, configuration), folded over every graph.
-fn golden_hashes() -> Vec<(String, u64)> {
-    let graphs = graphs();
+fn golden_hashes(graphs: &[(CsrGraph, Option<Vec<VertexId>>)]) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for algo in ["onek", "twok"] {
         for (name, config, paged) in configs() {
             let mut hash = FNV_OFFSET;
-            for (g, initial) in &graphs {
+            for (g, initial) in graphs {
                 let scan = OrderedCsr::degree_sorted(g);
                 let initial = initial
                     .clone()
@@ -154,19 +153,53 @@ const EXPECTED: [(&str, u64); 14] = [
     ("twok paged 0.3", 0x2f5d58c5b29aa83d),
 ];
 
-#[test]
-fn swap_outcomes_match_the_recorded_oracle() {
-    let got = golden_hashes();
+/// Recorded from the algorithms as they stood before two-k's candidate
+/// pass skipped the SC registrations no later vertex can read.
+const EXPECTED_AT_SCALE: [(&str, u64); 14] = [
+    ("onek default", 0x3add1dbd5266f489),
+    ("onek verbatim", 0x4e44d46e5b5387be),
+    ("onek repromote_n=false", 0x3add1dbd5266f489),
+    ("onek early_stop(1)", 0x635bbd7c9d54c7c7),
+    ("onek finalize_maximal=false", 0x4e44d46e5b5387be),
+    ("onek paged 1.0", 0xfedaf658963e95c5),
+    ("onek paged 0.3", 0xfedaf658963e95c5),
+    ("twok default", 0xae2ff82e48b04a0c),
+    ("twok verbatim", 0x05c455181873081f),
+    ("twok repromote_n=false", 0xae2ff82e48b04a0c),
+    ("twok early_stop(1)", 0x7b5186a69a0e0edf),
+    ("twok finalize_maximal=false", 0x05c455181873081f),
+    ("twok paged 1.0", 0x66006913dec3599c),
+    ("twok paged 0.3", 0x66006913dec3599c),
+];
+
+fn assert_matches(got: &[(String, u64)], expected: &[(&str, u64)]) {
     let mismatches: Vec<String> = got
         .iter()
-        .zip(EXPECTED)
+        .zip(expected.iter().copied())
         .filter(|((name, hash), (want_name, want))| name != want_name || hash != want)
         .map(|((name, hash), (_, want))| format!("{name}: got {hash:#018x}, want {want:#018x}"))
         .collect();
-    assert_eq!(got.len(), EXPECTED.len());
+    assert_eq!(got.len(), expected.len());
     assert!(
         mismatches.is_empty(),
         "swap outcomes drifted:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn swap_outcomes_match_the_recorded_oracle() {
+    assert_matches(&golden_hashes(&graphs()), &EXPECTED);
+}
+
+/// One PLRG graph at 20k vertices: most of two-k's SC registrations sit
+/// on keys no later vertex touches, and some 2-3 skeletons still fire
+/// (three under the default configuration).
+#[test]
+fn swap_outcomes_at_scale_match_the_recorded_oracle() {
+    let g = semi_mis::gen::Plrg::with_vertices(20_000, 2.0)
+        .seed(1)
+        .generate();
+    let got = golden_hashes(&[(g, None)]);
+    assert_matches(&got, &EXPECTED_AT_SCALE);
 }
